@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -122,18 +122,16 @@ class RngStream:
     Two streams with equal (master_seed, stream_id) produce bit-identical
     draw sequences, independent of thread count or scheduling.  Units of
     parallel work must each own their stream; streams are never shared.
+    ``stream_id`` is an integer or a tuple of integers, such as a
+    (role, unit) key; it becomes the SeedSequence spawn key.
     """
 
     master_seed: int
-    stream_id: int = 0
+    stream_id: Union[int, tuple] = 0
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
-        return np.random.default_rng(seq)
-
-    def substream(self, offset: int) -> "RngStream":
-        """Derived stream; callers keep offsets disjoint across uses."""
-        return RngStream(self.master_seed, self.stream_id + offset)
+        key = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
+        return np.random.default_rng(np.random.SeedSequence(self.master_seed, spawn_key=key))
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -11,9 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import IvSample, as_generator
-from .bootstrap import RetryDrawError
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+from .bootstrap import RetryDrawError, empirical_upper_quantile
 
 
 @dataclass(frozen=True)
@@ -80,26 +78,34 @@ def t_ar(pair: STPair, n_instruments: Optional[int] = None) -> float:
     return float(pair.s @ pair.s) / J
 
 
+def clr_critical_values(S: np.ndarray, taus: np.ndarray, alpha: float) -> np.ndarray:
+    """Conditional critical values of t_clr at each ||T||^2 in ``taus``.
+
+    ``S`` holds null draws of the standard J-dimensional Gaussian S, one per
+    row; T is pinned at sqrt(tau) * e1, since the statistic depends on T
+    only through its norm (Andrews, Moreira & Stock 2006).  Each value is
+    the empirical_upper_quantile order statistic of the simulated t_clr.
+    """
+    ss = np.einsum("mj,mj->m", S, S)
+    s1sq = S[:, 0] ** 2
+    crit = np.empty(len(taus))
+    for j, tau in enumerate(taus):  # one cache-sized pass per tau
+        d = ss - tau
+        crit[j] = empirical_upper_quantile(d + np.sqrt(d * d + 4.0 * tau * s1sq), alpha)
+    return crit
+
+
 def clr_critical(t_norm2: float, n_instruments: int, alpha: float,
                  n_sims: int = 10000, rng=None) -> float:
-    """Conditional critical value of t_clr given ||T||^2 = t_norm2.
-
-    Simulates S as a standard J-dimensional Gaussian with T pinned at
-    sqrt(t_norm2) * e1 (the statistic only depends on T through its norm)
-    and returns the empirical (1-alpha) quantile.
-    """
+    """Conditional critical value of t_clr given ||T||^2 = t_norm2, from
+    ``n_sims`` fresh null draws (see clr_critical_values)."""
     if t_norm2 < 0:
         raise ValueError(f"t_norm2 must be >= 0, got {t_norm2}")
     if n_sims < 1000:
         raise ValueError(f"n_sims must be >= 1000, got {n_sims}")
     gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
     S = gen.standard_normal((n_sims, n_instruments))
-    ss = np.einsum("mj,mj->m", S, S)
-    d = ss - t_norm2
-    stats = d + np.sqrt(d * d + 4.0 * t_norm2 * S[:, 0] ** 2)
-    if alpha >= 1.0:
-        return float(stats.min())
-    return float(np.quantile(stats, 1.0 - alpha))
+    return float(clr_critical_values(S, [t_norm2], alpha)[0])
 
 
 def _profile_quadratics(sample: IvSample, weights: Optional[np.ndarray]):
@@ -142,70 +148,74 @@ def ams_profile_loglik(sample: IvSample, beta: float,
     returned value omits the constant normalization, so noiseless data give
     exactly zero.  A singular weighted Gram matrix falls back to a small
     ridge; all-zero weights yield value 0 and a zero coefficient vector.
+    An infinite beta gives the limit of the profile as |beta| grows.
     """
     G_u, W, C_u, om_inv = _profile_quadratics(sample, weights)
-    d = np.array([beta, 1.0])
     vals = np.linalg.eigvalsh(G_u)
     if np.allclose(vals, 0.0):
         return ProfileFit(value=0.0, pi_hat=np.zeros(sample.n_instruments))
     if vals[0] < 0 and weights is not None:
         raise RetryDrawError("weighted instrument Gram matrix is indefinite")
-    dd = float(d @ om_inv @ d)
     ridge = 0.0
     if vals[0] <= 1e-12 * max(vals[-1], 1.0):
         ridge = 1e-10 * float(np.trace(G_u))
-    sol = np.linalg.solve(G_u + ridge * np.eye(G_u.shape[0]), W @ d)
-    pi_hat = sol / dd
+    # beta = +-inf is the limit along the direction d = (1, 0)
+    d = np.array([1.0, 0.0]) if np.isinf(beta) else np.array([beta, 1.0])
+    dd = float(d @ om_inv @ d)
+    if np.isinf(beta):  # the coefficients vanish in that limit
+        pi_hat = np.zeros(sample.n_instruments)
+    else:
+        pi_hat = np.linalg.solve(G_u + ridge * np.eye(G_u.shape[0]), W @ d) / dd
     M = _profile_value_terms(G_u, W, ridge)
     value = -0.5 * (C_u - float(d @ M @ d) / dd)
     return ProfileFit(value=value, pi_hat=pi_hat)
 
 
-def _sup_profile_g(M: np.ndarray, om_inv: np.ndarray, beta_center: float):
-    """Maximize g(beta) = d' M d / d' Om^{-1} d by a 64-point pre-scan and
-    golden-section refinement on [beta_center - 10, beta_center + 10]."""
-    def g(beta):
-        d = np.array([beta, 1.0])
-        return float(d @ M @ d) / float(d @ om_inv @ d)
-
-    lo, hi = beta_center - 10.0, beta_center + 10.0
-    grid = np.linspace(lo, hi, 64)
-    vals = [g(b) for b in grid]
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, 63)]
-    # golden-section to 1e-6
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = g(x1), g(x2)
-    while b - a > 1e-6:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = g(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = g(x1)
-    beta_max = 0.5 * (a + b)
-    return beta_max, g(beta_max)
+def _top_eigvec_2x2(h11, h12, h22):
+    """Top eigenvalue and unit eigenvector (vx, vy) of the symmetric 2x2
+    matrices [[h11, h12], [h12, h22]], elementwise over arrays."""
+    lmax = 0.5 * (h11 + h22) + np.sqrt(0.25 * (h11 - h22) ** 2 + h12 ** 2)
+    # of the two forms of the eigenvector, take the one free of cancellation
+    upper = h11 >= h22
+    vx = np.where(upper, lmax - h22, h12)
+    vy = np.where(upper, h12, lmax - h11)
+    vx = np.where((vx == 0.0) & (vy == 0.0), 1.0, vx)  # h = h11 * I: any vector
+    nrm = np.hypot(vx, vy)
+    return lmax, vx / nrm, vy / nrm
 
 
-def profile_sup(sample: IvSample, weights: Optional[np.ndarray] = None,
-                beta_center: float = 0.0):
+def _sup_profile_g(M: np.ndarray, om_inv: np.ndarray):
+    """Maximize g(beta) = d' M d / d' Om^{-1} d, d = (beta, 1), in closed form.
+
+    The supremum over all directions d is the top generalized eigenvalue of
+    the pencil (M, Om^{-1}): with Om^{-1} = L L', it is the top eigenpair
+    (lmax, w) of L^{-1} M L^{-T}, and d = L^{-T} w.  When d has no second
+    component the supremum is approached as beta -> infinity, and beta_max
+    is returned as inf.
+    """
+    L_inv = np.linalg.inv(np.linalg.cholesky(om_inv))
+    H = L_inv @ M @ L_inv.T
+    gmax, wx, wy = _top_eigvec_2x2(H[0, 0], H[0, 1], H[1, 1])
+    d = L_inv.T @ np.array([wx, wy])
+    beta_max = np.inf if d[1] == 0.0 else float(d[0] / d[1])
+    return beta_max, float(gmax)
+
+
+def profile_sup(sample: IvSample, weights: Optional[np.ndarray] = None):
     """Supremum over beta of the (weighted) profile likelihood.
 
-    Returns (beta_max, sup_value).  The search window follows the grid
-    pre-scan plus golden-section recipe around ``beta_center``.
+    Returns (beta_max, sup_value), both in closed form (see
+    _sup_profile_g); beta_max is inf when the supremum is only approached
+    as beta grows without bound.
     """
     G_u, W, C_u, om_inv = _profile_quadratics(sample, weights)
     vals = np.linalg.eigvalsh(G_u)
     if np.allclose(vals, 0.0):
-        return beta_center, 0.0
+        return 0.0, 0.0
     if vals[0] <= 0 and weights is not None:
         raise RetryDrawError("weighted instrument Gram matrix is not positive definite")
     M = _profile_value_terms(G_u, W)
-    beta_max, gmax = _sup_profile_g(M, om_inv, beta_center)
+    beta_max, gmax = _sup_profile_g(M, om_inv)
     return beta_max, -0.5 * (C_u - gmax)
 
 
@@ -217,7 +227,7 @@ def ams_lr_statistic(sample: IvSample, beta0: float) -> float:
     is twice the usual 2-log-likelihood-ratio, hence the factor 4 here
     rather than 2.)
     """
-    bhat, sup_val = profile_sup(sample, None, beta_center=beta0)
+    _, sup_val = profile_sup(sample)
     prof0 = ams_profile_loglik(sample, beta0).value
     return 4.0 * (sup_val - prof0)
 
@@ -232,8 +242,8 @@ def ams_blr_statistic(sample: IvSample, weights,
     other value, e.g. the hypothesized beta0.
     """
     if center is None:
-        center, _ = profile_sup(sample, None, beta_center=0.0)
-    _, sup_w = profile_sup(sample, weights, beta_center=center)
+        center, _ = profile_sup(sample)
+    _, sup_w = profile_sup(sample, weights)
     prof_c = ams_profile_loglik(sample, center, weights).value
     stat = 4.0 * (sup_w - prof_c)
     return stat

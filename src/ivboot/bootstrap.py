@@ -163,13 +163,17 @@ def boot_wilks_gap(design: GeneralDesign, weights, projector,
     return float(abs(np.sqrt(2.0 * max(t, 0.0)) - np.linalg.norm(sd.xi_s)))
 
 
-def empirical_upper_quantile(samples: np.ndarray, alpha: float) -> float:
+def empirical_upper_quantile(samples: np.ndarray, alpha: float):
     """Right-continuous empirical (1-alpha) quantile: order statistic at
-    index ceil((1-alpha) * B)."""
-    B = samples.size
+    index ceil((1-alpha) * B), clamped to 1..B, of the last axis.
+
+    Returns a float for a vector and an array for a stack of vectors.
+    """
+    B = samples.shape[-1]
     k = int(np.ceil((1.0 - alpha) * B))
     k = min(max(k, 1), B)
-    return float(np.sort(samples)[k - 1])
+    q = np.partition(samples, k - 1, axis=-1)[..., k - 1]
+    return float(q) if q.ndim == 0 else q
 
 
 def boot_quantile(design: GeneralDesign, projector, n_boot: int, alpha: float,

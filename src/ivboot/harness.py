@@ -5,6 +5,7 @@ comparison against the embedded reference tables."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -15,18 +16,21 @@ import numpy as np
 from scipy.stats import chi2
 
 from .basis import RngStream, cosine_design
+from .benchmark import _top_eigvec_2x2, clr_critical_values
 from .bootstrap import empirical_upper_quantile
 from .simgen import ErrorSpec, SimConfig, gen_pi
 
 TEST_NAMES = ("LR", "BLR", "CLR", "AR", "LM")
 CSV_HEADER = ("offset",) + TEST_NAMES
 
-# stream-id layout: sample chunks, null simulations, CLR critical draws
-_SAMPLE_BASE = 0
-_NULL_BASE = 10_000_000
-_CLR_BASE = 20_000_000
-_CHUNK = 125
-_BLR_BLOCK = 40  # replications per bootstrap memory block
+# stream roles: every stream of a power curve has the spawn key (role, unit)
+_SAMPLE, _NULL, _CLR = 0, 1, 2
+# Replications per unit of parallel work.  Fixed, because units key the
+# sample streams; small, so that a few hundred replications still keep every
+# worker busy.  A unit's bootstrap weights (_UNIT x boot_reps x n doubles)
+# are its largest array.
+_UNIT = 25
+_NULL_BLOCK = 2500  # null simulations per error-draw block
 
 N_NULL_SIMS = 10_000
 N_CLR_SIMS = 10_000
@@ -191,10 +195,9 @@ class _Engine:
         self.triu = iu
         self.features = (self.z[iu[0]] * self.z[iu[1]])  # (J(J+1)/2, n)
 
-    def quadratics(self, y1, y2):
-        """q11, q12, q22 of the 2x2 profile matrix H per replication."""
-        ZY1 = y1 @ self.z.T
-        ZY2 = y2 @ self.z.T
+    def quadratics(self, ZY1, ZY2):
+        """q11, q12, q22 of the 2x2 profile matrix H per replication, from
+        the instrument projections Z y1, Z y2 (one row per replication)."""
         G1 = ZY1 @ self.gram_inv
         q11 = np.einsum("rj,rj->r", G1, ZY1)
         q12 = np.einsum("rj,rj->r", G1, ZY2)
@@ -215,18 +218,6 @@ class _Engine:
         return d + np.sqrt(d * d + 4.0 * st * st)
 
 
-def _top_eigvec_2x2(h11, h12, h22):
-    m = 0.5 * (h11 + h22)
-    r = np.sqrt(0.25 * (h11 - h22) ** 2 + h12 ** 2)
-    lmax = m + r
-    vx = np.where(np.abs(h12) > 1e-300, h12, 0.0)
-    vy = lmax - h11
-    degenerate = (np.abs(vx) < 1e-300) & (np.abs(vy) < 1e-300)
-    vx = np.where(degenerate, 1.0, vx)
-    nrm = np.sqrt(vx * vx + vy * vy)
-    return lmax, vx / nrm, vy / nrm
-
-
 def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen) -> np.ndarray:
     """Per-replication bootstrap critical values of the profile LR statistic.
 
@@ -234,209 +225,175 @@ def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen) -> np.ndarray:
     (top eigenvector of the unweighted 2x2 profile matrix) and reoptimizes
     the nuisance coefficients under the weighted objective; the returned
     quantile is on the same scale as the t_clr statistic, so the decision
-    t_clr > quantile is exactly the J + z*sqrt(J) threshold rule.
+    t_clr > quantile is exactly the J + z*sqrt(J) threshold rule.  All
+    R x boot_reps x n weights are drawn at once, so callers pass at most
+    one unit of replications.
     """
     cfg = engine.config
-    C, n = y1.shape
+    R, n = y1.shape
     B = cfg.boot_reps
     J = cfg.q
     iu0, iu1 = engine.triu
-    lmax, vx, vy = _top_eigvec_2x2(q11, q12, q22)
-    out = np.empty(C)
-    k_order = int(np.ceil((1.0 - cfg.alpha) * B))
-    k_order = min(max(k_order, 1), B)
-    for lo in range(0, C, _BLR_BLOCK):
-        hi = min(lo + _BLR_BLOCK, C)
-        R = hi - lo
-        u = gen.normal(1.0, 1.0, (R, B, n))
-        flat = u.reshape(R * B, n)
-        packed = flat @ engine.features.T  # (R*B, J(J+1)/2)
-        Gw = np.zeros((R * B, J, J))
-        Gw[:, iu0, iu1] = packed
-        Gw[:, iu1, iu0] = packed
-        zu1 = np.empty((R, B, J))
-        zu2 = np.empty((R, B, J))
-        for r in range(R):
-            zu1[r] = u[r] @ (y1[lo + r][:, None] * engine.z.T)
-            zu2[r] = u[r] @ (y2[lo + r][:, None] * engine.z.T)
-        rhs = np.stack([zu1.reshape(R * B, J), zu2.reshape(R * B, J)], axis=-1)
-        sol = np.linalg.solve(Gw, rhs)
-        hb11 = np.einsum("mj,mj->m", rhs[:, :, 0], sol[:, :, 0])
-        hb12 = np.einsum("mj,mj->m", rhs[:, :, 0], sol[:, :, 1])
-        hb22 = np.einsum("mj,mj->m", rhs[:, :, 1], sol[:, :, 1])
-        bad = ~(np.isfinite(hb11) & np.isfinite(hb12) & np.isfinite(hb22)
-                & (hb11 >= 0) & (hb22 >= 0))
-        if np.any(bad):
-            # indefinite weighted Gram draws are astronomically rare at these
-            # sample sizes; redraw rather than abort unless they pile up
-            idx = np.flatnonzero(bad)
-            if idx.size > 0.01 * R * B:
-                raise RuntimeError("bootstrap aborted: too many indefinite weighted draws")
-            for m in idx:
-                r, b = divmod(m, B)
-                while True:
-                    uu = gen.normal(1.0, 1.0, n)
-                    Gm = (engine.z * uu) @ engine.z.T
-                    try:
-                        np.linalg.cholesky(Gm)
-                    except np.linalg.LinAlgError:
-                        continue
-                    w1 = engine.z @ (uu * y1[lo + r])
-                    w2 = engine.z @ (uu * y2[lo + r])
-                    s = np.linalg.solve(Gm, np.stack([w1, w2], axis=1))
-                    hb11[m] = w1 @ s[:, 0]
-                    hb12[m] = w1 @ s[:, 1]
-                    hb22[m] = w2 @ s[:, 1]
-                    break
-        lmax_b = 0.5 * (hb11 + hb22) + np.sqrt(0.25 * (hb11 - hb22) ** 2 + hb12 ** 2)
-        lmax_b = lmax_b.reshape(R, B)
-        vxr = vx[lo:hi, None]
-        vyr = vy[lo:hi, None]
-        gb = (vxr * vxr * hb11.reshape(R, B) + 2 * vxr * vyr * hb12.reshape(R, B)
-              + vyr * vyr * hb22.reshape(R, B))
-        tblr = 2.0 * (lmax_b - gb)
-        part = np.partition(tblr, k_order - 1, axis=1)
-        out[lo:hi] = part[:, k_order - 1]
-    return out
+    _, vx, vy = _top_eigvec_2x2(q11, q12, q22)
+    u = gen.normal(1.0, 1.0, (R, B, n))
+    packed = u.reshape(R * B, n) @ engine.features.T  # (R*B, J(J+1)/2)
+    Gw = np.zeros((R * B, J, J))
+    Gw[:, iu0, iu1] = packed
+    Gw[:, iu1, iu0] = packed
+    zu1 = np.empty((R, B, J))
+    zu2 = np.empty((R, B, J))
+    for r in range(R):
+        zu1[r] = u[r] @ (y1[r][:, None] * engine.z.T)
+        zu2[r] = u[r] @ (y2[r][:, None] * engine.z.T)
+    rhs = np.stack([zu1.reshape(R * B, J), zu2.reshape(R * B, J)], axis=-1)
+    sol = np.linalg.solve(Gw, rhs)
+    hb11 = np.einsum("mj,mj->m", rhs[:, :, 0], sol[:, :, 0])
+    hb12 = np.einsum("mj,mj->m", rhs[:, :, 0], sol[:, :, 1])
+    hb22 = np.einsum("mj,mj->m", rhs[:, :, 1], sol[:, :, 1])
+    bad = ~(np.isfinite(hb11) & np.isfinite(hb12) & np.isfinite(hb22)
+            & (hb11 >= 0) & (hb22 >= 0))
+    if np.any(bad):
+        # indefinite weighted Gram draws are astronomically rare at these
+        # sample sizes; redraw rather than abort unless they pile up
+        idx = np.flatnonzero(bad)
+        if idx.size > 0.01 * R * B:
+            raise RuntimeError("bootstrap aborted: too many indefinite weighted draws")
+        for m in idx:
+            r, b = divmod(m, B)
+            while True:
+                uu = gen.normal(1.0, 1.0, n)
+                Gm = (engine.z * uu) @ engine.z.T
+                try:
+                    np.linalg.cholesky(Gm)
+                except np.linalg.LinAlgError:
+                    continue
+                w1 = engine.z @ (uu * y1[r])
+                w2 = engine.z @ (uu * y2[r])
+                s = np.linalg.solve(Gm, np.stack([w1, w2], axis=1))
+                hb11[m] = w1 @ s[:, 0]
+                hb12[m] = w1 @ s[:, 1]
+                hb22[m] = w2 @ s[:, 1]
+                break
+    lmax_b = 0.5 * (hb11 + hb22) + np.sqrt(0.25 * (hb11 - hb22) ** 2 + hb12 ** 2)
+    vxr = vx[:, None]
+    vyr = vy[:, None]
+    gb = (vxr * vxr * hb11.reshape(R, B) + 2 * vxr * vyr * hb12.reshape(R, B)
+          + vyr * vyr * hb22.reshape(R, B))
+    return empirical_upper_quantile(2.0 * (lmax_b.reshape(R, B) - gb), cfg.alpha)
 
 
-def _sample_unit(engine: _Engine, gi: int, chunk: int):
-    """Simulate one chunk of replications at grid index gi.
+def _stream(config: SimConfig, role: int, unit: int) -> np.random.Generator:
+    return RngStream(config.master_seed, (role, unit)).generator()
 
-    Returns the t_clr statistic, ||T||^2, AR/LM statistics, and the
-    bootstrap critical value for each replication.
+
+def _sample_unit(engine: _Engine, unit: int):
+    """Simulate one unit of replications at the configured truth.
+
+    Returns the profile quadratics q11, q12, q22 and the bootstrap critical
+    value of each replication; none of them depends on the hypothesized
+    value, so one unit serves the whole grid.
     """
     cfg = engine.config
-    v = cfg.beta_grid[gi]
-    reps_here = _CHUNK if (chunk + 1) * _CHUNK <= cfg.reps else cfg.reps - chunk * _CHUNK
-    stream = RngStream(cfg.master_seed, _SAMPLE_BASE + gi * 1000 + chunk)
-    gen = stream.generator()
+    reps_here = min(_UNIT, cfg.reps - unit * _UNIT)
+    gen = _stream(cfg, _SAMPLE, unit)
     eps = _gen_errors_batch(cfg.error, cfg.n, reps_here, gen)
     y1 = cfg.beta_star * engine.x[None, :] + eps[:, :, 0]
     y2 = engine.x[None, :] + eps[:, :, 1]
-    q11, q12, q22 = engine.quadratics(y1, y2)
-    ss, tt, st = engine.st_quadratics(q11, q12, q22, v)
-    tclr = engine.tclr_from(ss, tt, st)
+    q11, q12, q22 = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
     blr_crit = _blr_quantiles(engine, y1, y2, q11, q12, q22, gen)
-    return dict(tclr=tclr, tt=tt, ar=ss / cfg.q, lm=st * st / tt, blr_crit=blr_crit)
+    return q11, q12, q22, blr_crit
 
 
-def _lr_critical(engine: _Engine, gi: int, oracle_error=None) -> float:
-    """Oracle critical value: the null distribution of the statistic at
-    beta = beta0, simulated afresh per offset.
+def _lr_critical(engine: _Engine, grid, law: ErrorSpec,
+                 n_sims: int = N_NULL_SIMS) -> np.ndarray:
+    """Oracle critical value at each hypothesized value v of ``grid``: the
+    upper alpha quantile of t_clr over n_sims null samples drawn at beta = v.
 
-    ``oracle_error`` chooses the simulating law; by default the configured
-    (actual) one.  Calibrating against the nominal unit-covariance law
-    instead reproduces reference runs whose oracle ignored the covariance
-    imbalance of the generator.
+    The null errors, under ``law``, are drawn once for the whole grid, in
+    blocks with streams (_NULL, block), and kept only through their
+    instrument projections Z e1, Z e2; the data at v then project to
+    v Z x + Z e1 and Z x + Z e2.
     """
     cfg = engine.config
-    law = oracle_error if oracle_error is not None else cfg.error
-    v = cfg.beta_grid[gi]
-    gen = RngStream(cfg.master_seed, _NULL_BASE + gi).generator()
-    crit_samples = np.empty(N_NULL_SIMS)
-    block = 2500
-    pos = 0
-    while pos < N_NULL_SIMS:
-        m = min(block, N_NULL_SIMS - pos)
-        eps = _gen_errors_batch(law, cfg.n, m, gen)
-        y1 = v * engine.x[None, :] + eps[:, :, 0]
-        y2 = engine.x[None, :] + eps[:, :, 1]
-        q11, q12, q22 = engine.quadratics(y1, y2)
+    ze1 = np.empty((n_sims, cfg.q))
+    ze2 = np.empty((n_sims, cfg.q))
+    for block, lo in enumerate(range(0, n_sims, _NULL_BLOCK)):
+        m = min(_NULL_BLOCK, n_sims - lo)
+        eps = _gen_errors_batch(law, cfg.n, m, _stream(cfg, _NULL, block))
+        ze1[lo:lo + m] = eps[:, :, 0] @ engine.z.T
+        ze2[lo:lo + m] = eps[:, :, 1] @ engine.z.T
+    zx = engine.z @ engine.x
+    crit = np.empty(len(grid))
+    for i, v in enumerate(grid):
+        q11, q12, q22 = engine.quadratics(v * zx + ze1, zx + ze2)
         ss, tt, st = engine.st_quadratics(q11, q12, q22, v)
-        crit_samples[pos:pos + m] = engine.tclr_from(ss, tt, st)
-        pos += m
-    return empirical_upper_quantile(crit_samples, cfg.alpha)
+        crit[i] = empirical_upper_quantile(engine.tclr_from(ss, tt, st), cfg.alpha)
+    return crit
 
 
-def _clr_critical_curve(engine: _Engine, gi: int, tt_values: np.ndarray):
+def _clr_critical_curve(S: np.ndarray, tt_values: np.ndarray, alpha: float):
     """Conditional critical values interpolated over a ||T||^2 grid built
-    from the observed values, with common random numbers across nodes."""
-    cfg = engine.config
-    gen = RngStream(cfg.master_seed, _CLR_BASE + gi).generator()
-    S = gen.standard_normal((N_CLR_SIMS, cfg.q))
-    ss0 = np.einsum("mj,mj->m", S, S)
-    s1sq = S[:, 0] ** 2
+    from the observed values, with the null draws S common to all nodes."""
     lo = max(0.0, 0.9 * float(tt_values.min()))
     hi = 1.1 * float(tt_values.max()) + 1.0
     nodes = np.linspace(lo, hi, CLR_GRID_NODES)
-    k = int(np.ceil((1.0 - cfg.alpha) * N_CLR_SIMS))
-    k = min(max(k, 1), N_CLR_SIMS)
-    crits = np.empty(nodes.size)
-    for j, tau in enumerate(nodes):
-        d = ss0 - tau
-        stat = d + np.sqrt(d * d + 4.0 * tau * s1sq)
-        crits[j] = np.partition(stat, k - 1)[k - 1]
-    return np.interp(tt_values, nodes, crits)
+    return np.interp(tt_values, nodes, clr_critical_values(S, nodes, alpha))
 
 
 def oracle_lr_critical(config: SimConfig, beta0: float,
                        n_sims: int = N_NULL_SIMS) -> float:
-    """Critical value of the profile LR statistic from fresh null
-    simulations: data at beta = beta0 under the configured error law."""
-    engine = _Engine(config)
-    gen = RngStream(config.master_seed, _NULL_BASE).generator()
-    samples = np.empty(n_sims)
-    pos = 0
-    while pos < n_sims:
-        m = min(2500, n_sims - pos)
-        eps = _gen_errors_batch(config.error, config.n, m, gen)
-        y1 = beta0 * engine.x[None, :] + eps[:, :, 0]
-        y2 = engine.x[None, :] + eps[:, :, 1]
-        q11, q12, q22 = engine.quadratics(y1, y2)
-        ss, tt, st = engine.st_quadratics(q11, q12, q22, beta0)
-        samples[pos:pos + m] = engine.tclr_from(ss, tt, st)
-        pos += m
-    return empirical_upper_quantile(samples, config.alpha)
+    """Critical value of the profile LR statistic from null simulations:
+    data at beta = beta0 under the configured error law.  This is the LR
+    kernel of power_curve with a grid of one, so it equals the power
+    curve's critical value at beta0."""
+    return float(_lr_critical(_Engine(config), (beta0,), config.error, n_sims)[0])
 
 
 def power_curve(config: SimConfig, n_threads=None, lr_oracle_error=None) -> PowerTable:
     """Rejection frequencies of all five tests over the hypothesis grid.
 
-    Each grid point gets ``config.reps`` fresh samples drawn at the
-    configured truth; every test evaluates H0: beta = grid value.  Chunked
-    replication units own counter-derived streams, so results are identical
-    for any thread count.  ``lr_oracle_error`` overrides the error law of
-    the LR null simulations (see _lr_critical).
+    ``config.reps`` samples are drawn once at the configured truth, each
+    with its bootstrap, and every grid value is tested on the same samples
+    (common random numbers); likewise the LR null simulations and the CLR
+    null draws are drawn once and shared by all grid values.  So the row of
+    a grid value depends only on the config and that value, not on the rest
+    of the grid.  Every stream is keyed by (role, unit) and replication
+    units have a fixed size, so results are identical for any thread count.
+    ``lr_oracle_error`` overrides the error law of the LR null simulations;
+    calibrating against the nominal unit-covariance law instead of the
+    configured one reproduces reference runs whose oracle ignored the
+    covariance imbalance of the generator.
     """
     engine = _Engine(config)
     cfg = config
     if n_threads is None:
         n_threads = max_threads()
-    n_chunks = (cfg.reps + _CHUNK - 1) // _CHUNK
-    if n_chunks > 1000:
-        raise ValueError("reps too large for the stream layout (max 125000)")
-    units = [(gi, c) for gi in range(len(cfg.beta_grid)) for c in range(n_chunks)]
-    results = {}
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            futs = {ex.submit(_sample_unit, engine, gi, c): (gi, c)
-                    for gi, c in units}
-            for fut, key in futs.items():
-                results[key] = fut.result()
-    else:
-        for gi, c in units:
-            results[(gi, c)] = _sample_unit(engine, gi, c)
-
-    ar_crit = chi2.ppf(1 - cfg.alpha, cfg.q) / cfg.q
-    lm_crit = chi2.ppf(1 - cfg.alpha, 1)
-    rows = {t: np.empty(len(cfg.beta_grid)) for t in TEST_NAMES}
-    for gi in range(len(cfg.beta_grid)):
-        parts = [results[(gi, c)] for c in range(n_chunks)]
-        tclr = np.concatenate([p["tclr"] for p in parts])
-        tt = np.concatenate([p["tt"] for p in parts])
-        ar = np.concatenate([p["ar"] for p in parts])
-        lm = np.concatenate([p["lm"] for p in parts])
-        blr_crit = np.concatenate([p["blr_crit"] for p in parts])
-        lr_crit = _lr_critical(engine, gi, lr_oracle_error)
-        clr_crit = _clr_critical_curve(engine, gi, tt)
-        rows["LR"][gi] = np.mean(tclr > lr_crit)
-        rows["BLR"][gi] = np.mean(tclr > blr_crit)
-        rows["CLR"][gi] = np.mean(tclr > clr_crit)
-        rows["AR"][gi] = np.mean(ar > ar_crit)
-        rows["LM"][gi] = np.mean(lm > lm_crit)
+    law = lr_oracle_error if lr_oracle_error is not None else cfg.error
+    n_units = (cfg.reps + _UNIT - 1) // _UNIT
+    with ThreadPoolExecutor(max_workers=n_threads) as ex:
+        lr_fut = ex.submit(_lr_critical, engine, cfg.beta_grid, law)
+        unit_futs = [ex.submit(_sample_unit, engine, u) for u in range(n_units)]
+        S = _stream(cfg, _CLR, 0).standard_normal((N_CLR_SIMS, cfg.q))
+        sample = [np.concatenate(p) for p in zip(*(f.result() for f in unit_futs))]
+        rates = list(ex.map(functools.partial(_grid_rates, engine, sample, S),
+                            cfg.beta_grid, lr_fut.result()))
+    rows = {t: np.array([r[i] for r in rates]) for i, t in enumerate(TEST_NAMES)}
     return PowerTable(grid=np.array(cfg.beta_grid), rows=rows, config=cfg,
                       reps_used=cfg.reps)
+
+
+def _grid_rates(engine: _Engine, sample, S: np.ndarray, v: float, lr_crit: float):
+    """Rejection rates of the five tests of H0: beta = v, in TEST_NAMES
+    order, on the shared samples (q11, q12, q22, blr_crit) of power_curve."""
+    cfg = engine.config
+    q11, q12, q22, blr_crit = sample
+    ss, tt, st = engine.st_quadratics(q11, q12, q22, v)
+    tclr = engine.tclr_from(ss, tt, st)
+    return (np.mean(tclr > lr_crit),
+            np.mean(tclr > blr_crit),
+            np.mean(tclr > _clr_critical_curve(S, tt, cfg.alpha)),
+            np.mean(ss / cfg.q > chi2.ppf(1 - cfg.alpha, cfg.q) / cfg.q),
+            np.mean(st * st / tt > chi2.ppf(1 - cfg.alpha, 1)))
 
 
 def compare_to_reference(table: PowerTable, reference_id: int) -> ComparisonReport:

@@ -102,4 +102,11 @@ def test_rng_stream_distinct_ids():
     a = RngStream(42, 0).generator().standard_normal(10)
     b = RngStream(42, 1).generator().standard_normal(10)
     assert not np.allclose(a, b)
-    assert RngStream(42, 0).substream(3) == RngStream(42, 3)
+
+
+def test_rng_stream_tuple_keys():
+    a = RngStream(42, (0, 1)).generator().standard_normal(10)
+    b = RngStream(42, (1, 0)).generator().standard_normal(10)
+    assert not np.allclose(a, b)
+    assert np.array_equal(RngStream(42, (3,)).generator().standard_normal(10),
+                          RngStream(42, 3).generator().standard_normal(10))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from ivboot import IvSample, RngStream, cosine_design
+from ivboot import IvSample, RngStream, SimConfig, cosine_design
 from ivboot.benchmark import (
     STPair,
+    _sup_profile_g,
     ams_blr_statistic,
     ams_lr_statistic,
     ams_profile_loglik,
@@ -127,6 +128,16 @@ def test_clr_critical_alpha_one_degenerate():
     assert crit <= 1.0  # minimum of a nonnegative statistic, near zero
 
 
+def test_clr_critical_is_an_order_statistic():
+    n_sims, J, tau, alpha = 5000, 4, 7.5, 0.05
+    crit = clr_critical(tau, J, alpha, n_sims=n_sims, rng=RngStream(2, 4))
+    S = RngStream(2, 4).generator().standard_normal((n_sims, J))
+    d = np.einsum("mj,mj->m", S, S) - tau
+    stats = d + np.sqrt(d * d + 4.0 * tau * S[:, 0] ** 2)
+    k = int(np.ceil((1 - alpha) * n_sims))
+    assert crit == np.sort(stats)[k - 1]
+
+
 def test_clr_critical_monotone_in_tau():
     taus = [0.0, 2.0, 8.0, 32.0, 128.0]
     crits = [clr_critical(t, 5, 0.05, n_sims=40_000, rng=RngStream(2, 3)) for t in taus]
@@ -155,6 +166,27 @@ def test_lr_statistic_equals_t_clr(gen):
             lr = ams_lr_statistic(s, beta0)
             direct = t_clr(st_vectors(s, beta0))
             assert lr == pytest.approx(direct, abs=1e-6)
+
+
+@pytest.mark.parametrize("beta_star", [5.0, 12.0, 30.0])
+def test_lr_statistic_equals_t_clr_far_from_beta0(beta_star):
+    # strong instruments put the profile maximizer near beta_star, more than
+    # 10 away from beta0 = 1 for the larger values
+    cfg = SimConfig(n=200, q=5, concentration=50.0 * 200, beta_star=beta_star,
+                    master_seed=17)
+    s = gen_sample(cfg, rng=cfg.rng())
+    assert ams_lr_statistic(s, 1.0) == pytest.approx(t_clr(st_vectors(s, 1.0)), rel=1e-8)
+
+
+def test_profile_sup_at_infinity():
+    # top direction (1, 0): the supremum is the limit as beta grows
+    beta_max, gmax = _sup_profile_g(np.diag([2.0, 1.0]), np.eye(2))
+    assert beta_max == np.inf
+    assert gmax == pytest.approx(2.0)
+    s = make_sample(seed=2)
+    limit = ams_profile_loglik(s, np.inf)
+    assert limit.value == pytest.approx(ams_profile_loglik(s, 1e9).value, abs=1e-6)
+    assert np.all(limit.pi_hat == 0.0)
 
 
 def test_profile_unimodal_on_grid():

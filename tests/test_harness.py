@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivboot import ErrorSpec, SimConfig
+from ivboot import ErrorSpec, SimConfig, harness
 from ivboot.harness import (
     PowerTable,
     TABLE_SPECS,
@@ -32,11 +32,22 @@ def test_power_curve_shapes_and_ranges():
 
 
 def test_power_curve_thread_count_invariant():
-    t1 = power_curve(small_config(), n_threads=1)
-    t2 = power_curve(small_config(), n_threads=3)
+    cfg = small_config(reps=2 * harness._UNIT + 7)  # three units, the last one short
+    t1 = power_curve(cfg, n_threads=1)
+    for threads in (2, 3):
+        t = power_curve(cfg, n_threads=threads)
+        for name in ("LR", "BLR", "CLR", "AR", "LM"):
+            assert np.array_equal(t1.column(name), t.column(name))
+        assert t1.to_csv_text() == t.to_csv_text()
+
+
+def test_power_curve_cell_depends_only_on_its_grid_value():
+    # every draw is shared across the grid, so the other grid values do not
+    # change the row at 1.0
+    wide = power_curve(small_config(beta_grid=(0.7, 1.0, 1.3)), n_threads=2)
+    alone = power_curve(small_config(beta_grid=(1.0,)), n_threads=1)
     for name in ("LR", "BLR", "CLR", "AR", "LM"):
-        assert np.array_equal(t1.column(name), t2.column(name))
-    assert t1.to_csv_text() == t2.to_csv_text()
+        assert wide.column(name)[1] == alone.column(name)[0]
 
 
 def test_power_curve_deterministic_rerun():
@@ -114,10 +125,20 @@ def test_table_config_round_trip():
         table_config(9)
 
 
-def test_oracle_lr_critical_is_null_quantile():
-    cfg = small_config(reps=400)
-    crit = oracle_lr_critical(cfg, 1.0, n_sims=4000)
-    # rejection rate of fresh null data against this critical value ~ alpha
-    t = power_curve(small_config(beta_grid=(1.0,), reps=400, boot_reps=120), n_threads=2)
-    assert 0.01 <= t.column("LR")[0] <= 0.12
-    assert crit > 0
+def test_oracle_lr_critical_is_null_quantile(monkeypatch):
+    seen = []
+    kernel = harness._lr_critical
+
+    def recording(*args, **kwargs):
+        seen.append(kernel(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "_lr_critical", recording)
+    cfg = small_config(beta_grid=(0.7, 1.0), reps=400)
+    t = power_curve(cfg, n_threads=2)
+    # rejection rate of null data against the oracle critical value ~ alpha
+    assert 0.01 <= t.column("LR")[1] <= 0.12
+    # the scalar oracle is the power curve's LR kernel with a grid of one
+    curve_crits = seen[0]
+    for v, crit in zip(cfg.beta_grid, curve_crits):
+        assert oracle_lr_critical(cfg, v) == crit
