@@ -16,7 +16,7 @@ from ivboot.diagnostics import (
     z_branch_continuity,
     z_function,
 )
-from ivboot.cli import benchmark_design
+from ivboot.benchmark import benchmark_design
 from ivboot.harness import table_config
 from ivboot.simgen import gen_sample
 

@@ -4,7 +4,6 @@ bootstrap, benchmark tests, a Monte Carlo power harness, and finite-sample
 diagnostics."""
 
 from .basis import (
-    BasisSpec,
     GeneralDesign,
     IvSample,
     RngStream,

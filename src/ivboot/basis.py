@@ -7,23 +7,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-BASIS_KINDS = ("cosine",)
-
-
-@dataclass(frozen=True)
-class BasisSpec:
-    """Number and family of basis functions used to expand the target."""
-
-    n_basis: int
-    kind: str = "cosine"
-
-    def __post_init__(self):
-        if self.n_basis < 1:
-            raise ValueError(f"n_basis must be >= 1, got {self.n_basis}")
-        if self.kind not in BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}; supported: {BASIS_KINDS}")
-
-
 @dataclass(frozen=True)
 class SampleTruth:
     """Structural parameters used to generate a synthetic sample."""

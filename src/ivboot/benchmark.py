@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import IvSample, as_generator
+from .basis import GeneralDesign, IvSample, as_generator
 from .bootstrap import RetryDrawError, empirical_upper_quantile
 
 
@@ -54,13 +54,37 @@ def st_vectors(sample: IvSample, beta0: float) -> STPair:
     return STPair(s=s, t=t, beta0=float(beta0))
 
 
+def st_quadratics(q11, q12, q22, v):
+    """S'S, T'T and S'T at the hypothesized value v for omega = I, from the
+    profile quadratics q11 = y1'P y1, q12 = y1'P y2, q22 = y2'P y2 (P the
+    projection on the instruments), elementwise over arrays."""
+    den = 1.0 + v * v
+    ss = (q11 - 2 * v * q12 + v * v * q22) / den
+    tt = (v * v * q11 + 2 * v * q12 + q22) / den
+    st = (v * q11 + (1 - v * v) * q12 - v * q22) / den
+    return ss, tt, st
+
+
+def tclr_from(ss, tt, st):
+    """t_clr from S'S, T'T and S'T, elementwise over arrays."""
+    d = ss - tt
+    return d + np.sqrt(d * d + 4.0 * st * st)
+
+
+def ar_from(ss, n_instruments):
+    """Anderson-Rubin statistic from S'S, elementwise over arrays."""
+    return ss / n_instruments
+
+
+def lm_from(tt, st):
+    """Lagrange-multiplier statistic from T'T and S'T, elementwise over arrays."""
+    return st * st / tt
+
+
 def t_clr(pair: STPair) -> float:
     """S'S - T'T + sqrt((S'S - T'T)^2 + 4 (S'T)^2), always >= 0."""
-    ss = float(pair.s @ pair.s)
-    tt = float(pair.t @ pair.t)
-    st = float(pair.s @ pair.t)
-    d = ss - tt
-    return d + float(np.sqrt(d * d + 4.0 * st * st))
+    return float(tclr_from(float(pair.s @ pair.s), float(pair.t @ pair.t),
+                           float(pair.s @ pair.t)))
 
 
 def t_lm(pair: STPair) -> float:
@@ -68,14 +92,13 @@ def t_lm(pair: STPair) -> float:
     tt = float(pair.t @ pair.t)
     if tt <= 0.0:
         raise ValueError("T'T = 0: the Lagrange-multiplier statistic is undefined")
-    st = float(pair.s @ pair.t)
-    return st * st / tt
+    return lm_from(tt, float(pair.s @ pair.t))
 
 
 def t_ar(pair: STPair, n_instruments: Optional[int] = None) -> float:
     """S'S / J, compared against the chi-square(J)/J quantile."""
     J = n_instruments if n_instruments is not None else pair.s.size
-    return float(pair.s @ pair.s) / J
+    return ar_from(float(pair.s @ pair.s), J)
 
 
 def clr_critical_values(S: np.ndarray, taus: np.ndarray, alpha: float) -> np.ndarray:
@@ -239,7 +262,8 @@ def ams_blr_statistic(sample: IvSample, weights,
     The restricted optimum fixes beta at the full-sample profile maximizer
     (the centered bootstrap hypothesis) while the nuisance coefficients stay
     free under the weighted objective.  Pass ``center`` to pin beta at some
-    other value, e.g. the hypothesized beta0.
+    other value, e.g. the hypothesized beta0.  One draw at a time, this is
+    the reference that harness._blr_quantiles is tested against.
     """
     if center is None:
         center, _ = profile_sup(sample)
@@ -247,3 +271,14 @@ def ams_blr_statistic(sample: IvSample, weights,
     prof_c = ams_profile_loglik(sample, center, weights).value
     stat = 4.0 * (sup_w - prof_c)
     return stat
+
+
+def benchmark_design(sample: IvSample) -> GeneralDesign:
+    """Two-equation sample mapped to the linear quasi-likelihood layout at
+    its recorded truth (outcome equation scaled by beta_star)."""
+    if sample.truth is None:
+        raise ValueError("sample must carry its generating truth")
+    beta = sample.truth.beta_star
+    eta = np.stack([beta * sample.z.T, sample.z.T])
+    zk = np.stack([sample.y1, sample.y2])
+    return GeneralDesign(eta=eta, zk=zk, penalty=0.0)

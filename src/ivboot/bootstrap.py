@@ -73,12 +73,23 @@ def boot_loglik(design: GeneralDesign, weights, theta, weight_penalty: bool = Tr
     return float(u @ per_obs - pen)
 
 
-def _weighted_parts(design: GeneralDesign, u: np.ndarray, weight_penalty: bool):
+def _weighted_system(design: GeneralDesign, u: np.ndarray, weight_penalty: bool):
+    """Weighted normal matrix A_u + lam I and right-hand side r_u of the
+    weighted objective.
+
+    Negative weights can make the matrix indefinite; that raises
+    RetryDrawError so the caller can redraw.
+    """
     eta = design.eta
     A_u = np.einsum("kij,i,kil->jl", eta, u, eta)
     r_u = np.einsum("kij,i,ki->j", eta, u, design.zk)
     lam = design.penalty * (u.mean() if weight_penalty else 1.0)
-    return A_u, r_u, lam
+    M = A_u + lam * np.eye(design.dim)
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise RetryDrawError("weighted normal matrix is not positive definite") from None
+    return M, r_u
 
 
 def boot_mle(design: GeneralDesign, weights, weight_penalty: bool = True) -> np.ndarray:
@@ -87,13 +98,7 @@ def boot_mle(design: GeneralDesign, weights, weight_penalty: bool = True) -> np.
     Negative weights can make the weighted normal matrix indefinite; that
     raises RetryDrawError so the caller can redraw.
     """
-    u = np.asarray(weights, dtype=float)
-    A_u, r_u, lam = _weighted_parts(design, u, weight_penalty)
-    M = A_u + lam * np.eye(design.dim)
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise RetryDrawError("weighted normal matrix is not positive definite") from None
+    M, r_u = _weighted_system(design, np.asarray(weights, dtype=float), weight_penalty)
     return np.linalg.solve(M, r_u)
 
 
@@ -104,12 +109,7 @@ def t_blr(design: GeneralDesign, weights, projector,
     u = np.asarray(weights, dtype=float)
     if theta_tilde is None:
         theta_tilde = quasilik.mle(design)
-    A_u, r_u, lam = _weighted_parts(design, u, weight_penalty)
-    M = A_u + lam * np.eye(design.dim)
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise RetryDrawError("weighted normal matrix is not positive definite") from None
+    M, r_u = _weighted_system(design, u, weight_penalty)
     theta_b = np.linalg.solve(M, r_u)
     full = boot_loglik(design, u, theta_b, weight_penalty)
     _, U0 = quasilik.projector_split(projector)
@@ -151,8 +151,7 @@ def boot_wilks_gap(design: GeneralDesign, weights, projector,
     theta_tilde = quasilik.mle(design)
     t = t_blr(design, u, projector, theta_tilde=theta_tilde, weight_penalty=weight_penalty)
     if exact:
-        A_u, r_u, lam = _weighted_parts(design, u, weight_penalty)
-        F_b = A_u + lam * np.eye(design.dim)
+        F_b, r_u = _weighted_system(design, u, weight_penalty)
         g_b = r_u - F_b @ theta_tilde
         sd = quasilik.score_from_parts(g_b, F_b, projector)
     else:

@@ -9,22 +9,12 @@ import json
 import sys
 
 import numpy as np
+from scipy.stats import chi2
 
 from . import benchmark, diagnostics, harness, quasilik
-from .basis import GeneralDesign, IvSample, RngStream
-from .bootstrap import TestOutcome, empirical_upper_quantile
+from .basis import RngStream
+from .bootstrap import TestOutcome
 from .simgen import ERROR_KINDS, ErrorSpec, SimConfig, gen_sample
-
-
-def benchmark_design(sample: IvSample) -> GeneralDesign:
-    """Two-equation sample mapped to the linear quasi-likelihood layout at
-    its recorded truth (outcome equation scaled by beta_star)."""
-    if sample.truth is None:
-        raise ValueError("sample must carry its generating truth")
-    beta = sample.truth.beta_star
-    eta = np.stack([beta * sample.z.T, sample.z.T])
-    zk = np.stack([sample.y1, sample.y2])
-    return GeneralDesign(eta=eta, zk=zk, penalty=0.0)
 
 _ERROR_FLAG = {k.replace("_", "-"): k for k in ERROR_KINDS}
 
@@ -167,43 +157,39 @@ def _cmd_power(args) -> int:
 
 
 def run_all_tests_once(config: SimConfig, beta0: float) -> list:
-    """All five tests of H0: beta = beta0 on a single generated sample,
-    via the public statistic operations."""
-    from scipy.stats import chi2
-
+    """All five tests of H0: beta = beta0 on a single generated sample: a
+    batch of one through the kernels of harness.power_curve."""
     sample = gen_sample(config, rng=config.rng())
-    pair = benchmark.st_vectors(sample, beta0)
-    stat = benchmark.t_clr(pair)
+    engine = harness._Engine(config)
+    y1, y2 = sample.y1[None], sample.y2[None]
+    q11, q12, q22 = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+    ss, tt, st = (float(x[0]) for x in benchmark.st_quadratics(q11, q12, q22, beta0))
+    stat = float(benchmark.tclr_from(ss, tt, st))
     outcomes = []
 
     lr_crit = harness.oracle_lr_critical(config, beta0)
     outcomes.append(TestOutcome("LR", stat, lr_crit, stat > lr_crit,
                                 {"n_null_sims": harness.N_NULL_SIMS}))
 
-    gen = RngStream(config.master_seed, 1).generator()
-    beta_tilde, _ = benchmark.profile_sup(sample)
-    tblr = np.empty(config.boot_reps)
-    for b in range(config.boot_reps):
-        u = gen.normal(1.0, 1.0, config.n)
-        tblr[b] = benchmark.ams_blr_statistic(sample, u, center=beta_tilde)
-    q = empirical_upper_quantile(tblr, config.alpha)
-    z_star = (q - config.q) / np.sqrt(config.q)
+    blr_crit, n_retries = harness._blr_quantiles(
+        engine, y1, y2, q11, q12, q22, RngStream(config.master_seed, 1).generator())
+    z_star = (float(blr_crit[0]) - config.q) / np.sqrt(config.q)
     thr = config.q + z_star * np.sqrt(config.q)
     outcomes.append(TestOutcome("BLR", stat, thr, stat > thr,
-                                {"n_boot": config.boot_reps, "z_star_alpha": float(z_star)}))
+                                {"n_boot": config.boot_reps, "n_retries": n_retries,
+                                 "z_star_alpha": float(z_star)}))
 
-    tau = float(pair.t @ pair.t)
-    clr_crit = benchmark.clr_critical(tau, config.q, config.alpha,
+    clr_crit = benchmark.clr_critical(tt, config.q, config.alpha,
                                       n_sims=harness.N_CLR_SIMS,
                                       rng=RngStream(config.master_seed, 2))
     outcomes.append(TestOutcome("CLR", stat, clr_crit, stat > clr_crit,
-                                {"t_norm2": tau}))
+                                {"t_norm2": tt}))
 
-    ar = benchmark.t_ar(pair)
+    ar = benchmark.ar_from(ss, config.q)
     ar_crit = chi2.ppf(1 - config.alpha, config.q) / config.q
     outcomes.append(TestOutcome("AR", ar, float(ar_crit), ar > ar_crit, {}))
 
-    lm = benchmark.t_lm(pair)
+    lm = benchmark.lm_from(tt, st)
     lm_crit = chi2.ppf(1 - config.alpha, 1)
     outcomes.append(TestOutcome("LM", lm, float(lm_crit), lm > lm_crit, {}))
     return outcomes
@@ -242,7 +228,7 @@ def _cmd_reproduce_table(args) -> int:
 def _cmd_diagnose(args) -> int:
     cfg = _load_config(args)
     sample = gen_sample(cfg, rng=cfg.rng())
-    design = benchmark_design(sample)
+    design = benchmark.benchmark_design(sample)
     fsc = diagnostics.fsc_design_check(design)
 
     theta = quasilik.mle(design)

@@ -16,9 +16,10 @@ import numpy as np
 from scipy.stats import chi2
 
 from .basis import RngStream, cosine_design
-from .benchmark import _top_eigvec_2x2, clr_critical_values
-from .bootstrap import empirical_upper_quantile
-from .simgen import ErrorSpec, SimConfig, gen_pi
+from .benchmark import (_top_eigvec_2x2, ar_from, clr_critical_values, lm_from,
+                        st_quadratics, tclr_from)
+from .bootstrap import MAX_RETRY_FRACTION, empirical_upper_quantile
+from .simgen import ErrorSpec, SimConfig, _gen_errors_batch, gen_pi
 
 TEST_NAMES = ("LR", "BLR", "CLR", "AR", "LM")
 CSV_HEADER = ("offset",) + TEST_NAMES
@@ -164,21 +165,6 @@ def max_threads() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _gen_errors_batch(error: ErrorSpec, n: int, size: int,
-                      gen: np.random.Generator) -> np.ndarray:
-    if error.kind == "laplace":
-        base = gen.laplace(0.0, 1.0 / np.sqrt(2.0), (size, n, 2))
-    else:
-        base = gen.standard_normal((size, n, 2))
-    eps = base @ np.linalg.cholesky(error.omega).T
-    i = np.arange(1, n + 1)
-    if error.kind == "hetero_linear":
-        eps *= np.sqrt(5.0 * i / n)[None, :, None]
-    elif error.kind == "hetero_periodic":
-        eps *= np.sqrt(2.0 + 1.5 * np.sin(6.0 * np.pi * i / n))[None, :, None]
-    return eps
-
-
 class _Engine:
     """Precomputed immutable state shared by all replication units."""
 
@@ -204,22 +190,10 @@ class _Engine:
         q22 = np.einsum("rj,rj->r", ZY2 @ self.gram_inv, ZY2)
         return q11, q12, q22
 
-    @staticmethod
-    def st_quadratics(q11, q12, q22, v):
-        den = 1.0 + v * v
-        ss = (q11 - 2 * v * q12 + v * v * q22) / den
-        tt = (v * v * q11 + 2 * v * q12 + q22) / den
-        st = (v * q11 + (1 - v * v) * q12 - v * q22) / den
-        return ss, tt, st
 
-    @staticmethod
-    def tclr_from(ss, tt, st):
-        d = ss - tt
-        return d + np.sqrt(d * d + 4.0 * st * st)
-
-
-def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen) -> np.ndarray:
-    """Per-replication bootstrap critical values of the profile LR statistic.
+def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen):
+    """Per-replication bootstrap critical values of the profile LR statistic,
+    and the number of weight vectors redrawn.
 
     The bootstrap statistic fixes beta at the full-sample profile maximizer
     (top eigenvector of the unweighted 2x2 profile matrix) and reoptimizes
@@ -227,7 +201,8 @@ def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen) -> np.ndarray:
     quantile is on the same scale as the t_clr statistic, so the decision
     t_clr > quantile is exactly the J + z*sqrt(J) threshold rule.  All
     R x boot_reps x n weights are drawn at once, so callers pass at most
-    one unit of replications.
+    one unit of replications.  A draw whose weighted Gram matrix is not
+    positive definite is replaced by fresh draws, each one counted.
     """
     cfg = engine.config
     R, n = y1.shape
@@ -252,16 +227,18 @@ def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen) -> np.ndarray:
     hb22 = np.einsum("mj,mj->m", rhs[:, :, 1], sol[:, :, 1])
     bad = ~(np.isfinite(hb11) & np.isfinite(hb12) & np.isfinite(hb22)
             & (hb11 >= 0) & (hb22 >= 0))
+    n_retries = 0
     if np.any(bad):
         # indefinite weighted Gram draws are astronomically rare at these
         # sample sizes; redraw rather than abort unless they pile up
         idx = np.flatnonzero(bad)
-        if idx.size > 0.01 * R * B:
+        if idx.size > MAX_RETRY_FRACTION * R * B:
             raise RuntimeError("bootstrap aborted: too many indefinite weighted draws")
         for m in idx:
             r, b = divmod(m, B)
             while True:
                 uu = gen.normal(1.0, 1.0, n)
+                n_retries += 1
                 Gm = (engine.z * uu) @ engine.z.T
                 try:
                     np.linalg.cholesky(Gm)
@@ -279,7 +256,7 @@ def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen) -> np.ndarray:
     vyr = vy[:, None]
     gb = (vxr * vxr * hb11.reshape(R, B) + 2 * vxr * vyr * hb12.reshape(R, B)
           + vyr * vyr * hb22.reshape(R, B))
-    return empirical_upper_quantile(2.0 * (lmax_b.reshape(R, B) - gb), cfg.alpha)
+    return empirical_upper_quantile(2.0 * (lmax_b.reshape(R, B) - gb), cfg.alpha), n_retries
 
 
 def _stream(config: SimConfig, role: int, unit: int) -> np.random.Generator:
@@ -300,7 +277,7 @@ def _sample_unit(engine: _Engine, unit: int):
     y1 = cfg.beta_star * engine.x[None, :] + eps[:, :, 0]
     y2 = engine.x[None, :] + eps[:, :, 1]
     q11, q12, q22 = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
-    blr_crit = _blr_quantiles(engine, y1, y2, q11, q12, q22, gen)
+    blr_crit, _ = _blr_quantiles(engine, y1, y2, q11, q12, q22, gen)
     return q11, q12, q22, blr_crit
 
 
@@ -326,8 +303,8 @@ def _lr_critical(engine: _Engine, grid, law: ErrorSpec,
     crit = np.empty(len(grid))
     for i, v in enumerate(grid):
         q11, q12, q22 = engine.quadratics(v * zx + ze1, zx + ze2)
-        ss, tt, st = engine.st_quadratics(q11, q12, q22, v)
-        crit[i] = empirical_upper_quantile(engine.tclr_from(ss, tt, st), cfg.alpha)
+        crit[i] = empirical_upper_quantile(tclr_from(*st_quadratics(q11, q12, q22, v)),
+                                           cfg.alpha)
     return crit
 
 
@@ -387,13 +364,13 @@ def _grid_rates(engine: _Engine, sample, S: np.ndarray, v: float, lr_crit: float
     order, on the shared samples (q11, q12, q22, blr_crit) of power_curve."""
     cfg = engine.config
     q11, q12, q22, blr_crit = sample
-    ss, tt, st = engine.st_quadratics(q11, q12, q22, v)
-    tclr = engine.tclr_from(ss, tt, st)
+    ss, tt, st = st_quadratics(q11, q12, q22, v)
+    tclr = tclr_from(ss, tt, st)
     return (np.mean(tclr > lr_crit),
             np.mean(tclr > blr_crit),
             np.mean(tclr > _clr_critical_curve(S, tt, cfg.alpha)),
-            np.mean(ss / cfg.q > chi2.ppf(1 - cfg.alpha, cfg.q) / cfg.q),
-            np.mean(st * st / tt > chi2.ppf(1 - cfg.alpha, 1)))
+            np.mean(ar_from(ss, cfg.q) > chi2.ppf(1 - cfg.alpha, cfg.q) / cfg.q),
+            np.mean(lm_from(tt, st) > chi2.ppf(1 - cfg.alpha, 1)))
 
 
 def compare_to_reference(table: PowerTable, reference_id: int) -> ComparisonReport:

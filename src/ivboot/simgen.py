@@ -91,8 +91,25 @@ def gen_pi(z: np.ndarray, concentration: float) -> np.ndarray:
     return s * v
 
 
+def _gen_errors_batch(error: ErrorSpec, n: int, size: int,
+                      gen: np.random.Generator) -> np.ndarray:
+    """(size, n, 2) disturbance draws, one (n, 2) sample per row, with the
+    laws of gen_errors; the samples follow one another in the stream."""
+    if error.kind == "laplace":
+        base = gen.laplace(0.0, 1.0 / np.sqrt(2.0), (size, n, 2))
+    else:
+        base = gen.standard_normal((size, n, 2))
+    eps = base @ np.linalg.cholesky(error.omega).T
+    i = np.arange(1, n + 1)
+    if error.kind == "hetero_linear":
+        eps *= np.sqrt(5.0 * i / n)[None, :, None]
+    elif error.kind == "hetero_periodic":
+        eps *= np.sqrt(2.0 + 1.5 * np.sin(6.0 * np.pi * i / n))[None, :, None]
+    return eps
+
+
 def gen_errors(spec: ErrorSpec, n: int, rng) -> np.ndarray:
-    """(n, 2) disturbance draws.
+    """(n, 2) disturbance draws: the batch of one of _gen_errors_batch.
 
     gauss            N(0, omega)
     laplace          independent unit-variance Laplace marginals, then the
@@ -102,19 +119,7 @@ def gen_errors(spec: ErrorSpec, n: int, rng) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = as_generator(rng)
-    if spec.kind == "laplace":
-        base = gen.laplace(0.0, 1.0 / np.sqrt(2.0), (n, 2))
-    else:
-        base = gen.standard_normal((n, 2))
-    chol = np.linalg.cholesky(spec.omega)
-    eps = base @ chol.T
-    i = np.arange(1, n + 1)
-    if spec.kind == "hetero_linear":
-        eps *= np.sqrt(5.0 * i / n)[:, None]
-    elif spec.kind == "hetero_periodic":
-        eps *= np.sqrt(2.0 + 1.5 * np.sin(6.0 * np.pi * i / n))[:, None]
-    return eps
+    return _gen_errors_batch(spec, n, 1, as_generator(rng))[0]
 
 
 def gen_sample(config: SimConfig, beta: Optional[float] = None, rng=None,

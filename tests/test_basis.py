@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivboot import BasisSpec, GeneralDesign, IvSample, RngStream, build_general_design, cosine_design
+from ivboot import GeneralDesign, IvSample, RngStream, build_general_design, cosine_design
 
 
 def test_cosine_design_first_entry():
@@ -34,14 +34,6 @@ def test_cosine_design_rejects_degenerate():
         cosine_design(0, 3)
     with pytest.raises(ValueError):
         cosine_design(10, 0)
-
-
-def test_basis_spec_validation():
-    BasisSpec(3)
-    with pytest.raises(ValueError):
-        BasisSpec(0)
-    with pytest.raises(ValueError):
-        BasisSpec(2, kind="wavelet")
 
 
 def test_build_general_design_unit_instruments():

@@ -74,6 +74,7 @@ def test_test_subcommand_emits_all_five(tmp_path):
         assert isinstance(t["reject"], bool)
         assert np.isfinite(t["statistic"])
         assert np.isfinite(t["critical_value"])
+    assert payload["tests"][1]["info"]["n_retries"] == 0
 
 
 def test_missing_config_exits_one(capsys):
