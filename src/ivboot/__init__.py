@@ -37,6 +37,7 @@ from .quasilik import (
     wilks_gap,
 )
 from .bootstrap import (
+    BootstrapAbortError,
     BootstrapRun,
     RetryDrawError,
     TestOutcome,

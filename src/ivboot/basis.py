@@ -20,35 +20,28 @@ class IvSample:
     """One realized dataset of the two-equation benchmark model.
 
     ``z`` has shape (J, n): one row per instrument column of the design.
-    ``omega`` is the 2x2 error covariance the test statistics assume known;
-    the actual data-generating covariance may differ (misspecification runs).
+    The test statistics take the error covariance as the identity; the
+    data-generating covariance may differ (misspecification runs).
     """
 
     y1: np.ndarray
     y2: np.ndarray
     z: np.ndarray
-    omega: np.ndarray
     truth: Optional[SampleTruth] = None
 
     def __post_init__(self):
         y1 = np.asarray(self.y1, dtype=float)
         y2 = np.asarray(self.y2, dtype=float)
         z = np.asarray(self.z, dtype=float)
-        omega = np.asarray(self.omega, dtype=float)
         if y1.ndim != 1 or y2.ndim != 1 or y1.shape != y2.shape:
             raise ValueError(f"y1, y2 must be equal-length vectors, got {y1.shape}, {y2.shape}")
         if y1.size < 1:
             raise ValueError("empty sample")
         if z.ndim != 2 or z.shape[1] != y1.size:
             raise ValueError(f"z must be (J, n={y1.size}), got {z.shape}")
-        if omega.shape != (2, 2) or not np.allclose(omega, omega.T):
-            raise ValueError("omega must be symmetric 2x2")
-        if np.linalg.eigvalsh(omega).min() <= 0:
-            raise ValueError("omega must be positive definite")
         object.__setattr__(self, "y1", y1)
         object.__setattr__(self, "y2", y2)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "omega", omega)
 
     @property
     def n_obs(self) -> int:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .basis import GeneralDesign, IvSample, as_generator
 from .bootstrap import RetryDrawError, empirical_upper_quantile
+from .quasilik import _inv_sqrt_psd
 
 
 @dataclass(frozen=True)
@@ -31,26 +32,14 @@ class ProfileFit:
     pi_hat: np.ndarray
 
 
-def _sym_inv_sqrt(M: np.ndarray, label: str) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(M)
-    if vals[0] <= 0:
-        raise ValueError(f"{label} must be positive definite")
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
 def st_vectors(sample: IvSample, beta0: float) -> STPair:
     """S and T vectors at beta0, with the symmetric square root of the
-    instrument Gram matrix and the assumed-known omega."""
+    instrument Gram matrix and the error covariance taken as the identity."""
     z = sample.z
-    gram = z @ z.T
-    gram_inv_sqrt = _sym_inv_sqrt(gram, "instrument Gram matrix Z Z'")
-    omega = sample.omega
-    a = np.array([beta0, 1.0])
-    b = np.array([1.0, -beta0])
-    yb = sample.y1 - beta0 * sample.y2
-    ya = beta0 * sample.y1 + sample.y2
-    s = gram_inv_sqrt @ (z @ yb) / np.sqrt(b @ omega @ b)
-    t = gram_inv_sqrt @ (z @ ya) / np.sqrt(a @ np.linalg.solve(omega, a))
+    gram_inv_sqrt = _inv_sqrt_psd(z @ z.T)
+    norm = np.sqrt(1.0 + beta0 * beta0)
+    s = gram_inv_sqrt @ (z @ (sample.y1 - beta0 * sample.y2)) / norm
+    t = gram_inv_sqrt @ (z @ (beta0 * sample.y1 + sample.y2)) / norm
     return STPair(s=s, t=t, beta0=float(beta0))
 
 
@@ -132,12 +121,14 @@ def clr_critical(t_norm2: float, n_instruments: int, alpha: float,
 
 
 def _profile_quadratics(sample: IvSample, weights: Optional[np.ndarray]):
-    """2x2 matrix M and scalar pieces of the weighted profile likelihood.
+    """Scalar pieces of the weighted profile likelihood, and the eigenvalues
+    of the weighted instrument Gram matrix G_u.
 
-    For fixed beta the nuisance coefficients solve a weighted GLS problem;
-    profiling them out leaves
-        value(beta) = -0.5 * (c_u - d' M d / d' Om^{-1} d),  d = (beta, 1),
-    where M depends on the data, the weights, and omega only.
+    For fixed beta the nuisance coefficients solve a weighted least-squares
+    problem; profiling them out leaves
+        value(beta) = -0.5 * (c_u - d' M d / d'd),  d = (beta, 1),
+    with M = W' G_u^{-1} W.  Weights whose G_u is not positive definite,
+    and not all zero, have no weighted maximizer: that raises RetryDrawError.
     """
     z = sample.z
     y = np.stack([sample.y1, sample.y2], axis=1)  # (n, 2)
@@ -145,11 +136,13 @@ def _profile_quadratics(sample: IvSample, weights: Optional[np.ndarray]):
     u = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if u.shape != (n,):
         raise ValueError(f"weights must be ({n},), got {u.shape}")
-    om_inv = np.linalg.inv(sample.omega)
     G_u = (z * u[None, :]) @ z.T  # (J, J)
-    W = (z * u[None, :]) @ y @ om_inv  # (J, 2): columns pair with d
-    C_u = float(np.einsum("ni,ij,nj,n->", y, om_inv, y, u))
-    return G_u, W, C_u, om_inv
+    W = (z * u[None, :]) @ y  # (J, 2): columns pair with d
+    C_u = float(np.einsum("ni,ni,n->", y, y, u))
+    vals = np.linalg.eigvalsh(G_u)
+    if weights is not None and vals[0] <= 0 and not np.allclose(vals, 0.0):
+        raise RetryDrawError("weighted instrument Gram matrix is not positive definite")
+    return G_u, W, C_u, vals
 
 
 def _profile_value_terms(G_u, W, ridge: float = 0.0):
@@ -167,24 +160,23 @@ def ams_profile_loglik(sample: IvSample, beta: float,
                        weights: Optional[np.ndarray] = None) -> ProfileFit:
     """Profile (optionally weighted) Gaussian log-likelihood at beta.
 
-    The coefficient vector is the weighted-GLS solution for fixed beta; the
-    returned value omits the constant normalization, so noiseless data give
-    exactly zero.  A singular weighted Gram matrix falls back to a small
-    ridge; all-zero weights yield value 0 and a zero coefficient vector.
+    The coefficient vector is the weighted least-squares solution for fixed
+    beta; the returned value omits the constant normalization, so noiseless
+    data give exactly zero.  A nearly singular Gram matrix falls back to a
+    small ridge; weights whose Gram matrix is not positive definite raise
+    RetryDrawError; all-zero weights yield value 0 and a zero coefficient
+    vector.
     An infinite beta gives the limit of the profile as |beta| grows.
     """
-    G_u, W, C_u, om_inv = _profile_quadratics(sample, weights)
-    vals = np.linalg.eigvalsh(G_u)
+    G_u, W, C_u, vals = _profile_quadratics(sample, weights)
     if np.allclose(vals, 0.0):
         return ProfileFit(value=0.0, pi_hat=np.zeros(sample.n_instruments))
-    if vals[0] < 0 and weights is not None:
-        raise RetryDrawError("weighted instrument Gram matrix is indefinite")
     ridge = 0.0
     if vals[0] <= 1e-12 * max(vals[-1], 1.0):
         ridge = 1e-10 * float(np.trace(G_u))
     # beta = +-inf is the limit along the direction d = (1, 0)
     d = np.array([1.0, 0.0]) if np.isinf(beta) else np.array([beta, 1.0])
-    dd = float(d @ om_inv @ d)
+    dd = float(d @ d)
     if np.isinf(beta):  # the coefficients vanish in that limit
         pi_hat = np.zeros(sample.n_instruments)
     else:
@@ -207,20 +199,15 @@ def _top_eigvec_2x2(h11, h12, h22):
     return lmax, vx / nrm, vy / nrm
 
 
-def _sup_profile_g(M: np.ndarray, om_inv: np.ndarray):
-    """Maximize g(beta) = d' M d / d' Om^{-1} d, d = (beta, 1), in closed form.
+def _sup_profile_g(M: np.ndarray):
+    """Maximize g(beta) = d' M d / d'd, d = (beta, 1), in closed form.
 
-    The supremum over all directions d is the top generalized eigenvalue of
-    the pencil (M, Om^{-1}): with Om^{-1} = L L', it is the top eigenpair
-    (lmax, w) of L^{-1} M L^{-T}, and d = L^{-T} w.  When d has no second
-    component the supremum is approached as beta -> infinity, and beta_max
-    is returned as inf.
+    The supremum over all directions d is the top eigenpair of M.  When
+    the eigenvector has no second component the supremum is approached as
+    beta -> infinity, and beta_max is returned as inf.
     """
-    L_inv = np.linalg.inv(np.linalg.cholesky(om_inv))
-    H = L_inv @ M @ L_inv.T
-    gmax, wx, wy = _top_eigvec_2x2(H[0, 0], H[0, 1], H[1, 1])
-    d = L_inv.T @ np.array([wx, wy])
-    beta_max = np.inf if d[1] == 0.0 else float(d[0] / d[1])
+    gmax, dx, dy = _top_eigvec_2x2(M[0, 0], M[0, 1], M[1, 1])
+    beta_max = np.inf if dy == 0.0 else float(dx / dy)
     return beta_max, float(gmax)
 
 
@@ -231,24 +218,21 @@ def profile_sup(sample: IvSample, weights: Optional[np.ndarray] = None):
     _sup_profile_g); beta_max is inf when the supremum is only approached
     as beta grows without bound.
     """
-    G_u, W, C_u, om_inv = _profile_quadratics(sample, weights)
-    vals = np.linalg.eigvalsh(G_u)
+    G_u, W, C_u, vals = _profile_quadratics(sample, weights)
     if np.allclose(vals, 0.0):
         return 0.0, 0.0
-    if vals[0] <= 0 and weights is not None:
-        raise RetryDrawError("weighted instrument Gram matrix is not positive definite")
     M = _profile_value_terms(G_u, W)
-    beta_max, gmax = _sup_profile_g(M, om_inv)
+    beta_max, gmax = _sup_profile_g(M)
     return beta_max, -0.5 * (C_u - gmax)
 
 
 def ams_lr_statistic(sample: IvSample, beta0: float) -> float:
     """Likelihood-ratio statistic of H0: beta = beta0 on the t_clr scale.
 
-    Evaluates 4 * [sup_beta profile - profile(beta0)]; for omega known this
-    equals t_clr(st_vectors(sample, beta0)) exactly.  (The t_clr convention
-    is twice the usual 2-log-likelihood-ratio, hence the factor 4 here
-    rather than 2.)
+    Evaluates 4 * [sup_beta profile - profile(beta0)]; this equals
+    t_clr(st_vectors(sample, beta0)) exactly.  (The t_clr convention is
+    twice the usual 2-log-likelihood-ratio, hence the factor 4 here rather
+    than 2.)
     """
     _, sup_val = profile_sup(sample)
     prof0 = ams_profile_loglik(sample, beta0).value

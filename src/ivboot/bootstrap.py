@@ -20,6 +20,21 @@ class RetryDrawError(RuntimeError):
     """Weighted normal matrix not positive definite; redraw the weights."""
 
 
+class BootstrapAbortError(RuntimeError):
+    """A bootstrap redrew more weight vectors than its budget allows."""
+
+
+def check_redraws(n_redraws: int, n_boot: int) -> None:
+    """The abort rule of every multiplier bootstrap: a bootstrap of n_boot
+    draws may redraw at most max(1, floor(MAX_RETRY_FRACTION * n_boot))
+    weight vectors, counting every redrawn vector, also one redrawn again."""
+    limit = max(1, int(MAX_RETRY_FRACTION * n_boot))
+    if n_redraws > limit:
+        raise BootstrapAbortError(
+            f"bootstrap aborted: too many indefinite weighted draws ({n_redraws} "
+            f"redraws exceed the limit of {limit} for {n_boot} draws)")
+
+
 @dataclass(frozen=True)
 class TestOutcome:
     """Statistic, critical value, and decision of one test."""
@@ -54,13 +69,9 @@ def draw_weights(n: int, rng) -> np.ndarray:
     return as_generator(rng).normal(1.0, 1.0, n)
 
 
-def boot_loglik(design: GeneralDesign, weights, theta, weight_penalty: bool = True) -> float:
+def boot_loglik(design: GeneralDesign, weights, theta) -> float:
     """Weighted quasi log-likelihood: observation i's residual terms and its
-    1/n penalty share are both multiplied by u_i.
-
-    With ``weight_penalty=False`` the penalty stays unweighted; the default
-    follows the per-observation weighting of the resampled objective.
-    """
+    1/n penalty share are both multiplied by u_i."""
     u = np.asarray(weights, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if u.shape != (design.n_obs,):
@@ -68,14 +79,12 @@ def boot_loglik(design: GeneralDesign, weights, theta, weight_penalty: bool = Tr
     resid = design.zk - np.einsum("kij,j->ki", design.eta, theta)  # (K, n)
     per_obs = -0.5 * np.sum(resid * resid, axis=0)  # (n,)
     pen = 0.5 * design.penalty * float(theta @ theta)
-    if weight_penalty:
-        return float(u @ per_obs - pen * u.sum() / design.n_obs)
-    return float(u @ per_obs - pen)
+    return float(u @ per_obs - pen * u.sum() / design.n_obs)
 
 
-def _weighted_system(design: GeneralDesign, u: np.ndarray, weight_penalty: bool):
-    """Weighted normal matrix A_u + lam I and right-hand side r_u of the
-    weighted objective.
+def _weighted_system(design: GeneralDesign, u: np.ndarray):
+    """Weighted normal matrix A_u + lam mean(u) I and right-hand side r_u of
+    the weighted objective.
 
     Negative weights can make the matrix indefinite; that raises
     RetryDrawError so the caller can redraw.
@@ -83,8 +92,7 @@ def _weighted_system(design: GeneralDesign, u: np.ndarray, weight_penalty: bool)
     eta = design.eta
     A_u = np.einsum("kij,i,kil->jl", eta, u, eta)
     r_u = np.einsum("kij,i,ki->j", eta, u, design.zk)
-    lam = design.penalty * (u.mean() if weight_penalty else 1.0)
-    M = A_u + lam * np.eye(design.dim)
+    M = A_u + design.penalty * u.mean() * np.eye(design.dim)
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -92,26 +100,26 @@ def _weighted_system(design: GeneralDesign, u: np.ndarray, weight_penalty: bool)
     return M, r_u
 
 
-def boot_mle(design: GeneralDesign, weights, weight_penalty: bool = True) -> np.ndarray:
+def boot_mle(design: GeneralDesign, weights) -> np.ndarray:
     """Maximizer of the weighted objective.
 
     Negative weights can make the weighted normal matrix indefinite; that
     raises RetryDrawError so the caller can redraw.
     """
-    M, r_u = _weighted_system(design, np.asarray(weights, dtype=float), weight_penalty)
+    M, r_u = _weighted_system(design, np.asarray(weights, dtype=float))
     return np.linalg.solve(M, r_u)
 
 
 def t_blr(design: GeneralDesign, weights, projector,
-          theta_tilde: Optional[np.ndarray] = None, weight_penalty: bool = True) -> float:
+          theta_tilde: Optional[np.ndarray] = None) -> float:
     """Bootstrap likelihood-ratio statistic with the hypothesis centered at
     the full-sample maximizer: sup L_boot - sup over {Pi(theta - theta_tilde) = 0}."""
     u = np.asarray(weights, dtype=float)
     if theta_tilde is None:
         theta_tilde = quasilik.mle(design)
-    M, r_u = _weighted_system(design, u, weight_penalty)
+    M, r_u = _weighted_system(design, u)
     theta_b = np.linalg.solve(M, r_u)
-    full = boot_loglik(design, u, theta_b, weight_penalty)
+    full = boot_loglik(design, u, theta_b)
     _, U0 = quasilik.projector_split(projector)
     if U0.shape[1] == 0:
         restricted_theta = theta_tilde
@@ -120,12 +128,12 @@ def t_blr(design: GeneralDesign, weights, projector,
         g = r_u - M @ theta_tilde
         gamma = np.linalg.solve(U0.T @ M @ U0, U0.T @ g)
         restricted_theta = theta_tilde + U0 @ gamma
-    return full - boot_loglik(design, u, restricted_theta, weight_penalty)
+    return full - boot_loglik(design, u, restricted_theta)
 
 
 def boot_score_decomposition(design: GeneralDesign, weights, theta_ref, projector,
-                             expected_fisher: Optional[np.ndarray] = None,
-                             weight_penalty: bool = True) -> quasilik.ScoreDecomposition:
+                             expected_fisher: Optional[np.ndarray] = None
+                             ) -> quasilik.ScoreDecomposition:
     """Score decomposition of the centered resampled gradient
     sum_i (u_i - 1) grad l_i(theta_ref)."""
     u = np.asarray(weights, dtype=float)
@@ -138,8 +146,7 @@ def boot_score_decomposition(design: GeneralDesign, weights, theta_ref, projecto
 
 
 def boot_wilks_gap(design: GeneralDesign, weights, projector,
-                   theta_star=None, expected_fisher=None, exact: bool = False,
-                   weight_penalty: bool = True) -> float:
+                   theta_star=None, expected_fisher=None, exact: bool = False) -> float:
     """| sqrt(2 T_BLR) - ||xi_s_boot|| |.
 
     With ``exact=True`` the score uses the weighted sample quantities
@@ -149,16 +156,15 @@ def boot_wilks_gap(design: GeneralDesign, weights, projector,
     """
     u = np.asarray(weights, dtype=float)
     theta_tilde = quasilik.mle(design)
-    t = t_blr(design, u, projector, theta_tilde=theta_tilde, weight_penalty=weight_penalty)
+    t = t_blr(design, u, projector, theta_tilde=theta_tilde)
     if exact:
-        F_b, r_u = _weighted_system(design, u, weight_penalty)
+        F_b, r_u = _weighted_system(design, u)
         g_b = r_u - F_b @ theta_tilde
         sd = quasilik.score_from_parts(g_b, F_b, projector)
     else:
         if theta_star is None:
             raise ValueError("theta_star required unless exact=True")
-        sd = boot_score_decomposition(design, u, theta_star, projector,
-                                      expected_fisher, weight_penalty)
+        sd = boot_score_decomposition(design, u, theta_star, projector, expected_fisher)
     return float(abs(np.sqrt(2.0 * max(t, 0.0)) - np.linalg.norm(sd.xi_s)))
 
 
@@ -176,12 +182,13 @@ def empirical_upper_quantile(samples: np.ndarray, alpha: float):
 
 
 def boot_quantile(design: GeneralDesign, projector, n_boot: int, alpha: float,
-                  rng, weight_penalty: bool = True) -> BootstrapRun:
+                  rng) -> BootstrapRun:
     """Draw n_boot multiplier-bootstrap statistics and locate the critical
     quantile of (T_BLR - J)/sqrt(J).
 
     Indefinite weighted normal matrices (possible under negative weights)
-    trigger a redraw; more than 1% of retried draws aborts the run.
+    trigger a redraw, counted in ``n_retries``; check_redraws aborts the
+    run when they exceed its budget.
     """
     if n_boot < 100:
         raise ValueError(f"n_boot must be >= 100, got {n_boot}")
@@ -192,21 +199,15 @@ def boot_quantile(design: GeneralDesign, projector, n_boot: int, alpha: float,
     J = design.dim
     samples = np.empty(n_boot)
     retries = 0
-    max_retries = max(1, int(MAX_RETRY_FRACTION * n_boot))
     for b in range(n_boot):
         while True:
             u = gen.normal(1.0, 1.0, design.n_obs)
             try:
-                samples[b] = t_blr(design, u, projector, theta_tilde=theta_tilde,
-                                   weight_penalty=weight_penalty)
+                samples[b] = t_blr(design, u, projector, theta_tilde=theta_tilde)
                 break
             except RetryDrawError:
                 retries += 1
-                if retries > max_retries:
-                    raise RuntimeError(
-                        f"bootstrap aborted: {retries} indefinite-matrix redraws "
-                        f"exceed {MAX_RETRY_FRACTION:.0%} of {n_boot} draws"
-                    ) from None
+            check_redraws(retries, n_boot)
     z = empirical_upper_quantile((samples - J) / np.sqrt(J), alpha)
     return BootstrapRun(n_boot=n_boot, t_blr_samples=samples, z_star_alpha=z,
                         alpha=alpha, n_retries=retries, dim=J)

@@ -13,7 +13,7 @@ from scipy.stats import chi2
 
 from . import benchmark, diagnostics, harness, quasilik
 from .basis import RngStream
-from .bootstrap import TestOutcome
+from .bootstrap import BootstrapAbortError, TestOutcome
 from .simgen import ERROR_KINDS, ErrorSpec, SimConfig, gen_sample
 
 _ERROR_FLAG = {k.replace("_", "-"): k for k in ERROR_KINDS}
@@ -233,9 +233,7 @@ def _cmd_diagnose(args) -> int:
 
     theta = quasilik.mle(design)
     contrib = quasilik.grad_contributions(design, theta)
-    D2 = quasilik.normal_matrix(design)
-    vals, vecs = np.linalg.eigh(D2)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
+    inv_sqrt = quasilik._inv_sqrt_psd(quasilik.normal_matrix(design))
     B0 = inv_sqrt @ (contrib.T @ contrib) @ inv_sqrt
     g = 2.0 * np.sqrt(2.0 * np.trace(B0))
     junctions = diagnostics.z_branch_continuity(B0, g)
@@ -279,7 +277,7 @@ def run(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.subcommand](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, BootstrapAbortError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from scipy.stats import chi2
 from .basis import RngStream, cosine_design
 from .benchmark import (_top_eigvec_2x2, ar_from, clr_critical_values, lm_from,
                         st_quadratics, tclr_from)
-from .bootstrap import MAX_RETRY_FRACTION, empirical_upper_quantile
+from .bootstrap import check_redraws, empirical_upper_quantile
 from .simgen import ErrorSpec, SimConfig, _gen_errors_batch, gen_pi
 
 TEST_NAMES = ("LR", "BLR", "CLR", "AR", "LM")
@@ -175,11 +175,13 @@ class _Engine:
         self.x = self.z.T @ self.pi
         gram = self.z @ self.z.T
         self.gram_inv = np.linalg.inv(gram)
-        # upper-triangle feature matrix for one-dgemm weighted Gram builds
+        # upper-triangle feature matrix for one-dgemm weighted Gram builds;
+        # row k of the Gram (from its diagonal on) is the k-th slice below
         J, n = self.z.shape
         iu = np.triu_indices(J)
-        self.triu = iu
         self.features = (self.z[iu[0]] * self.z[iu[1]])  # (J(J+1)/2, n)
+        starts = np.searchsorted(iu[0], np.arange(J + 1))
+        self.gram_rows = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
 
     def quadratics(self, ZY1, ZY2):
         """q11, q12, q22 of the 2x2 profile matrix H per replication, from
@@ -189,6 +191,43 @@ class _Engine:
         q12 = np.einsum("rj,rj->r", G1, ZY2)
         q22 = np.einsum("rj,rj->r", ZY2 @ self.gram_inv, ZY2)
         return q11, q12, q22
+
+
+def _weighted_profile(engine: _Engine, u, y1, y2):
+    """Weighted 2x2 profile matrices of weight rows u (R, B, n), each row
+    weighting its replication's y1, y2 (R, n), with a per-row verdict.
+
+    For one row, hb = W' G^{-1} W with G = Z diag(u) Z' and W = Z diag(u)
+    (y1, y2).  G = C'C is factored by Cholesky and hb = A'A with
+    A = C'^{-1} W.  The verdict says whether G is positive definite: every
+    pivot of the factorization is positive.  The hb of a row that fails is
+    finite but meaningless.  Returns hb11, hb12, hb22 and the verdict, each
+    shaped (R, B).
+    """
+    J = engine.config.q
+    R, B, n = u.shape
+    m = R * B
+    gram = u.reshape(m, n) @ engine.features.T  # packed upper triangle of G
+    zy = np.concatenate([y1[:, :, None] * engine.z.T, y2[:, :, None] * engine.z.T], axis=2)
+    w = np.matmul(u, zy).reshape(m, 2, J)
+    crow = []  # crow[i] = C[i, i:], row i of the Cholesky factor
+    a = np.empty((m, 2, J))  # a[:, :, k] = row k of A
+    pd = np.ones(m, dtype=bool)
+    for k in range(J):
+        g = gram[:, engine.gram_rows[k]]
+        wk = w[:, :, k]
+        for i in range(k):
+            cik = crow[i][:, k - i, None]
+            g = g - cik * crow[i][:, k - i:]
+            wk = wk - cik * a[:, :, i]
+        pd &= g[:, 0] > 0
+        piv = np.sqrt(np.where(pd, g[:, 0], 1.0))[:, None]
+        crow.append(g / piv)
+        a[:, :, k] = wk / piv
+    hb11 = np.einsum("mj,mj->m", a[:, 0], a[:, 0])
+    hb12 = np.einsum("mj,mj->m", a[:, 0], a[:, 1])
+    hb22 = np.einsum("mj,mj->m", a[:, 1], a[:, 1])
+    return tuple(x.reshape(R, B) for x in (hb11, hb12, hb22, pd))
 
 
 def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen):
@@ -202,61 +241,29 @@ def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen):
     t_clr > quantile is exactly the J + z*sqrt(J) threshold rule.  All
     R x boot_reps x n weights are drawn at once, so callers pass at most
     one unit of replications.  A draw whose weighted Gram matrix is not
-    positive definite is replaced by fresh draws, each one counted.
+    positive definite is redrawn, in draw order, until it is; each
+    replication is one bootstrap under bootstrap.check_redraws.
     """
-    cfg = engine.config
     R, n = y1.shape
-    B = cfg.boot_reps
-    J = cfg.q
-    iu0, iu1 = engine.triu
+    B = engine.config.boot_reps
     _, vx, vy = _top_eigvec_2x2(q11, q12, q22)
-    u = gen.normal(1.0, 1.0, (R, B, n))
-    packed = u.reshape(R * B, n) @ engine.features.T  # (R*B, J(J+1)/2)
-    Gw = np.zeros((R * B, J, J))
-    Gw[:, iu0, iu1] = packed
-    Gw[:, iu1, iu0] = packed
-    zu1 = np.empty((R, B, J))
-    zu2 = np.empty((R, B, J))
-    for r in range(R):
-        zu1[r] = u[r] @ (y1[r][:, None] * engine.z.T)
-        zu2[r] = u[r] @ (y2[r][:, None] * engine.z.T)
-    rhs = np.stack([zu1.reshape(R * B, J), zu2.reshape(R * B, J)], axis=-1)
-    sol = np.linalg.solve(Gw, rhs)
-    hb11 = np.einsum("mj,mj->m", rhs[:, :, 0], sol[:, :, 0])
-    hb12 = np.einsum("mj,mj->m", rhs[:, :, 0], sol[:, :, 1])
-    hb22 = np.einsum("mj,mj->m", rhs[:, :, 1], sol[:, :, 1])
-    bad = ~(np.isfinite(hb11) & np.isfinite(hb12) & np.isfinite(hb22)
-            & (hb11 >= 0) & (hb22 >= 0))
-    n_retries = 0
-    if np.any(bad):
-        # indefinite weighted Gram draws are astronomically rare at these
-        # sample sizes; redraw rather than abort unless they pile up
-        idx = np.flatnonzero(bad)
-        if idx.size > MAX_RETRY_FRACTION * R * B:
-            raise RuntimeError("bootstrap aborted: too many indefinite weighted draws")
-        for m in idx:
-            r, b = divmod(m, B)
-            while True:
-                uu = gen.normal(1.0, 1.0, n)
-                n_retries += 1
-                Gm = (engine.z * uu) @ engine.z.T
-                try:
-                    np.linalg.cholesky(Gm)
-                except np.linalg.LinAlgError:
-                    continue
-                w1 = engine.z @ (uu * y1[r])
-                w2 = engine.z @ (uu * y2[r])
-                s = np.linalg.solve(Gm, np.stack([w1, w2], axis=1))
-                hb11[m] = w1 @ s[:, 0]
-                hb12[m] = w1 @ s[:, 1]
-                hb22[m] = w2 @ s[:, 1]
+    hb11, hb12, hb22, pd = _weighted_profile(engine, gen.normal(1.0, 1.0, (R, B, n)), y1, y2)
+    redraws = np.zeros(R, dtype=int)
+    for r, b in zip(*np.nonzero(~pd)):
+        while True:
+            redraws[r] += 1
+            check_redraws(redraws[r], B)
+            h11, h12, h22, ok = _weighted_profile(
+                engine, gen.normal(1.0, 1.0, (1, 1, n)), y1[r:r + 1], y2[r:r + 1])
+            if ok[0, 0]:
                 break
-    lmax_b = 0.5 * (hb11 + hb22) + np.sqrt(0.25 * (hb11 - hb22) ** 2 + hb12 ** 2)
+        hb11[r, b], hb12[r, b], hb22[r, b] = h11[0, 0], h12[0, 0], h22[0, 0]
+    lmax_b, _, _ = _top_eigvec_2x2(hb11, hb12, hb22)
     vxr = vx[:, None]
     vyr = vy[:, None]
-    gb = (vxr * vxr * hb11.reshape(R, B) + 2 * vxr * vyr * hb12.reshape(R, B)
-          + vyr * vyr * hb22.reshape(R, B))
-    return empirical_upper_quantile(2.0 * (lmax_b.reshape(R, B) - gb), cfg.alpha), n_retries
+    gb = vxr * vxr * hb11 + 2 * vxr * vyr * hb12 + vyr * vyr * hb22
+    return (empirical_upper_quantile(2.0 * (lmax_b - gb), engine.config.alpha),
+            int(redraws.sum()))
 
 
 def _stream(config: SimConfig, role: int, unit: int) -> np.random.Generator:

@@ -150,9 +150,11 @@ def fit(design: GeneralDesign, projector) -> FitResult:
 
 
 def _inv_sqrt_psd(M: np.ndarray) -> np.ndarray:
+    """Symmetric inverse square root of a positive definite matrix; raises
+    for a matrix that is not, or is singular to working precision."""
     vals, vecs = np.linalg.eigh(M)
-    if vals.size and vals[-1] > 0 and vals[0] <= 1e-12 * vals[-1]:
-        raise SingularNuisanceError("matrix is singular on its range")
+    if vals.size and vals[0] <= 1e-12 * max(vals[-1], 0.0):
+        raise SingularNuisanceError("matrix is not positive definite")
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 

@@ -126,10 +126,9 @@ def gen_sample(config: SimConfig, beta: Optional[float] = None, rng=None,
                noiseless: bool = False) -> IvSample:
     """One realized dataset at the given beta (default: the configured truth).
 
-    The sample's ``omega`` is the identity: the test statistics treat the
-    error covariance as known and equal to I in every experiment, including
-    the misspecified ones.  ``noiseless=True`` is a test hook that drops the
-    disturbances entirely.
+    The test statistics treat the error covariance as known and equal to I
+    in every experiment, including the misspecified ones.
+    ``noiseless=True`` is a test hook that drops the disturbances entirely.
     """
     if beta is None:
         beta = config.beta_star
@@ -144,5 +143,5 @@ def gen_sample(config: SimConfig, beta: Optional[float] = None, rng=None,
         eps = gen_errors(config.error, config.n, rng)
     y1 = beta * x + eps[:, 0]
     y2 = x + eps[:, 1]
-    return IvSample(y1=y1, y2=y2, z=z, omega=np.eye(2),
+    return IvSample(y1=y1, y2=y2, z=z,
                     truth=SampleTruth(beta_star=float(beta), pi_star=pi))

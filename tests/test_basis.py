@@ -77,11 +77,9 @@ def test_general_design_validation():
 
 def test_iv_sample_validation():
     z = cosine_design(8, 2)
-    IvSample(y1=np.zeros(8), y2=np.zeros(8), z=z, omega=np.eye(2))
+    IvSample(y1=np.zeros(8), y2=np.zeros(8), z=z)
     with pytest.raises(ValueError):
-        IvSample(y1=np.zeros(8), y2=np.zeros(7), z=z, omega=np.eye(2))
-    with pytest.raises(ValueError):
-        IvSample(y1=np.zeros(8), y2=np.zeros(8), z=z, omega=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        IvSample(y1=np.zeros(8), y2=np.zeros(7), z=z)
 
 
 def test_rng_stream_bit_identical():

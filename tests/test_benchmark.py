@@ -27,7 +27,7 @@ def make_sample(seed=0, beta=1.0, n=80, q=4, noise=1.0):
     x = z.T @ pi
     y1 = beta * x + noise * gen.standard_normal(n)
     y2 = x + noise * gen.standard_normal(n)
-    return IvSample(y1=y1, y2=y2, z=z, omega=np.eye(2))
+    return IvSample(y1=y1, y2=y2, z=z)
 
 
 def test_st_vectors_noiseless_null_kills_s():
@@ -180,7 +180,7 @@ def test_lr_statistic_equals_t_clr_far_from_beta0(beta_star):
 
 def test_profile_sup_at_infinity():
     # top direction (1, 0): the supremum is the limit as beta grows
-    beta_max, gmax = _sup_profile_g(np.diag([2.0, 1.0]), np.eye(2))
+    beta_max, gmax = _sup_profile_g(np.diag([2.0, 1.0]))
     assert beta_max == np.inf
     assert gmax == pytest.approx(2.0)
     s = make_sample(seed=2)

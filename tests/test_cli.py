@@ -87,6 +87,20 @@ def test_bad_grid_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # more indefinite weighted Grams than one bootstrap may redraw
+    (["test", "--n", "20", "--q", "5", "--seed", "1"], "bootstrap aborted"),
+    (["test", "--n", "40", "--q", "5", "--seed", "1"], "bootstrap aborted"),
+    # q > n/2 repeats cosine rows: a singular normal matrix
+    (["diagnose", "--n", "8", "--q", "5"], "not positive definite"),
+], ids=["test-n20", "test-n40", "diagnose-singular"])
+def test_degenerate_runs_exit_one(capsys, argv, message):
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_config_file_with_flag_overrides(tmp_path):
     cfg = {"n": 60, "q": 3, "concentration": 3000.0, "beta_star": 1.0,
            "error": {"kind": "laplace"}, "beta_grid": [1.0],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ivboot import GeneralDesign, RngStream, SingularDesignError
+from ivboot import GeneralDesign, RngStream, SingularDesignError, SingularNuisanceError
 from ivboot.quasilik import (
     grad_loglik,
     loglik,
@@ -151,6 +151,14 @@ def test_score_full_projector_degenerates(gen):
     d = random_cosine_design(40, gen)
     sd = score_decomposition(d, THETA_FEASIBLE, np.eye(5))
     assert np.allclose(np.linalg.norm(sd.xi_s), np.linalg.norm(sd.xi))
+
+
+@pytest.mark.parametrize("fisher", [np.zeros((5, 5)), -np.eye(5), np.diag([1.0, 1, 1, 1, 0])],
+                         ids=["zero", "negative", "singular"])
+def test_score_rejects_fisher_not_positive_definite(gen, fisher):
+    d = random_cosine_design(30, gen)
+    with pytest.raises(SingularNuisanceError):
+        score_decomposition(d, THETA_FEASIBLE, np.eye(5), expected_fisher=fisher)
 
 
 def test_score_norm_squared_equals_twice_t_lr(gen):

@@ -23,8 +23,8 @@ from ivboot.benchmark import (
     t_lm,
     tclr_from,
 )
-from ivboot.bootstrap import empirical_upper_quantile
-from ivboot.harness import _blr_quantiles, _Engine, table_config
+from ivboot.bootstrap import RetryDrawError, empirical_upper_quantile
+from ivboot.harness import TABLE_SPECS, _blr_quantiles, _Engine, table_config
 from ivboot.simgen import ERROR_KINDS, ErrorSpec, _gen_errors_batch, gen_errors, gen_sample
 
 seeds = hs.integers(0, 2**32 - 1)
@@ -103,16 +103,64 @@ class _FirstBlock:
         return block
 
 
-def test_blr_redraws_are_counted():
+@pytest.mark.parametrize("n_bad, reps", [(1, 1), (2, 1), (3, 1), (3, 2)])
+def test_blr_redraws_are_counted(n_bad, reps):
+    # each replication is one bootstrap of 200 draws, which may redraw 2
+    # weight vectors; a third aborts, also in a unit of 2 x 200 draws
     cfg = _config(3, "gauss", boot_reps=200)
-    engine, y1, y2, q = _batch_of_one(cfg, gen_sample(cfg, rng=cfg.rng()))
+    engine = _Engine(cfg)
+    samples = [gen_sample(cfg, rng=cfg.rng(r)) for r in range(reps)]
+    y1 = np.stack([s.y1 for s in samples])
+    y2 = np.stack([s.y2 for s in samples])
+    q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
     gen = np.random.default_rng(5)
-    block = gen.normal(1.0, 1.0, (1, cfg.boot_reps, cfg.n))
+    block = gen.normal(1.0, 1.0, (reps, cfg.boot_reps, cfg.n))
     # all-negative weights make the weighted Gram matrix negative definite
-    block[0, 17] = -np.abs(block[0, 17])
-    crit, n_retries = _blr_quantiles(engine, y1, y2, *q, _FirstBlock(block.copy(), gen))
-    assert n_retries == 1
-    assert np.isfinite(crit[0])
-    block[0, :3] = -np.abs(block[0, :3])  # 4 bad draws: more than 1% of 200
-    with pytest.raises(RuntimeError, match="too many indefinite"):
-        _blr_quantiles(engine, y1, y2, *q, _FirstBlock(block, gen))
+    block[-1, 17:17 + n_bad] = -np.abs(block[-1, 17:17 + n_bad])
+    if n_bad > 2:
+        with pytest.raises(RuntimeError, match="too many indefinite"):
+            _blr_quantiles(engine, y1, y2, *q, _FirstBlock(block, gen))
+        return
+    crit, n_retries = _blr_quantiles(engine, y1, y2, *q, _FirstBlock(block, gen))
+    assert n_retries == n_bad
+    assert np.all(np.isfinite(crit))
+
+
+def test_blr_redraws_every_indefinite_gram():
+    # at n = 40 a weighted Gram matrix G can be indefinite while both
+    # diagonal entries of W'G^{-1}W stay >= 0; the batched kernel must
+    # redraw such a draw exactly as the scalar reference does
+    cfg = dataclasses.replace(_config(2, "gauss", boot_reps=200), n=40,
+                              concentration=40 * TABLE_SPECS[1]["lam"])
+    sample = gen_sample(cfg, rng=cfg.rng())
+    z, y = sample.z, np.stack([sample.y1, sample.y2], axis=1)
+    gen = np.random.default_rng(11)
+    bad, rows = None, []
+    while bad is None or len(rows) < cfg.boot_reps - 1:
+        u = gen.normal(1.0, 1.0, cfg.n)
+        G, W = (z * u) @ z.T, (z * u) @ y
+        if np.linalg.eigvalsh(G)[0] > 0:
+            rows.append(u)
+        elif bad is None and np.all(np.diag(W.T @ np.linalg.solve(G, W)) >= 0):
+            bad = u
+    block = np.array(rows[:cfg.boot_reps - 1])
+    block = np.insert(block, 17, bad, axis=0)[None]
+
+    redraw = np.random.default_rng(12)
+    beta_tilde, _ = profile_sup(sample)
+    loop, n_redrawn = [], 0
+    for u in block[0]:
+        while True:
+            try:
+                loop.append(ams_blr_statistic(sample, u, center=beta_tilde))
+                break
+            except RetryDrawError:
+                n_redrawn += 1
+                u = redraw.normal(1.0, 1.0, cfg.n)
+    engine, y1, y2, q = _batch_of_one(cfg, sample)
+    crit, n_retries = _blr_quantiles(engine, y1, y2, *q,
+                                     _FirstBlock(block, np.random.default_rng(12)))
+    assert n_redrawn >= 1
+    assert n_retries == n_redrawn
+    assert crit[0] == pytest.approx(empirical_upper_quantile(np.array(loop), cfg.alpha),
+                                    rel=1e-10)

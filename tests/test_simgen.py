@@ -89,7 +89,6 @@ def test_gen_sample_truth_recorded():
     s = gen_sample(cfg, rng=cfg.rng())
     assert s.truth.beta_star == 1.2
     assert s.truth.pi_star.shape == (2,)
-    assert np.allclose(s.omega, np.eye(2))
 
 
 def test_error_spec_validation():
