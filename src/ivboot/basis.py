@@ -123,7 +123,9 @@ def cosine_design(n: int, n_basis: int) -> np.ndarray:
     """Cosine instrument matrix with entries cos(2*pi*i*j/n), shape (J, n).
 
     Rows are indexed j = 1..J, columns i = 1..n; there is no constant row.
-    For n_basis < n/2 the rows are exactly orthogonal with squared norm n/2.
+    Rows j <= n/2 are exactly orthogonal, with squared norm n/2 (n for row
+    n/2 of an even n); row j with n/2 < j < n repeats row n - j, so for
+    n >= 3, Z Z' is singular exactly when 2 * n_basis > n.
     """
     if n < 1 or n_basis < 1:
         raise ValueError(f"need n >= 1 and n_basis >= 1, got n={n}, n_basis={n_basis}")

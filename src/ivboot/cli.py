@@ -5,6 +5,7 @@ under a fixed seed."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -16,89 +17,36 @@ from .basis import RngStream
 from .bootstrap import BootstrapAbortError, TestOutcome
 from .simgen import ERROR_KINDS, ErrorSpec, SimConfig, gen_sample
 
-_ERROR_FLAG = {k.replace("_", "-"): k for k in ERROR_KINDS}
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="ivboot",
-                                description="bootstrap likelihood-ratio testing harness")
-    sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def add_model_flags(sp, with_grid=True):
-        sp.add_argument("--config", default=None, help="JSON config file; flags override")
-        sp.add_argument("--n", type=int, default=None, help="sample size (default 200)")
-        sp.add_argument("--q", type=int, default=None, help="instrument count (default 5)")
-        sp.add_argument("--concentration", type=float, default=None,
-                        help="c with pi'ZZ'pi = c/n (default: table-1 calibration)")
-        sp.add_argument("--beta-star", type=float, default=None,
-                        help="true structural coefficient (default: table-1 calibration)")
-        sp.add_argument("--error", choices=sorted(_ERROR_FLAG), default=None,
-                        help="error law (default gauss)")
-        sp.add_argument("--alpha", type=float, default=None, help="test level (default 0.05)")
-        sp.add_argument("--reps", type=int, default=None, help="Monte Carlo replications")
-        sp.add_argument("--boot-reps", type=int, default=None, help="bootstrap draws per test")
-        sp.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-        if with_grid:
-            sp.add_argument("--grid", default=None,
-                            help="hypothesized beta0 grid as start:step:end")
-
-    for name, help_text in (("simulate", "generate one dataset"),
-                            ("power", "full power curve over the beta0 grid"),
-                            ("test", "all five tests of H0: beta = beta0 on one dataset"),
-                            ("reproduce-table", "rerun a reference table and compare"),
-                            ("diagnose", "finite-sample condition diagnostics")):
-        sp = sub.add_parser(name, help=help_text)
-        add_model_flags(sp, with_grid=(name == "power"))
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-        if name == "test":
-            sp.add_argument("--beta0", type=float, default=1.0, help="hypothesized beta")
-        if name == "reproduce-table":
-            sp.add_argument("--table", type=int, choices=(1, 2, 3, 4), required=True)
-    return p
-
-
-def _parse_grid(text: str) -> tuple:
-    try:
-        start, step, end = (float(v) for v in text.split(":"))
-    except Exception:
-        raise ValueError(f"--grid must be start:step:end, got {text!r}") from None
-    if step <= 0 or end < start:
-        raise ValueError(f"empty grid {text!r}")
-    values = np.arange(start, end + 0.5 * step, step)
-    return tuple(np.round(values, 10))
+def _sim_settings(args) -> dict:
+    """The SimConfig fields that the command line sets."""
+    fields = {f.name for f in dataclasses.fields(SimConfig)}
+    return {k: v for k, v in vars(args).items() if k in fields}
 
 
 def _load_config(args) -> SimConfig:
-    base = {}
+    """The flags given, over the config file's settings, over the table-1
+    calibration; a setting that none of them gives keeps its SimConfig
+    default."""
+    settings = {}
     if args.config is not None:
         with open(args.config) as fh:
-            base = json.load(fh)
+            settings = json.load(fh)
+        if not isinstance(settings, dict):
+            raise ValueError(f"config {args.config} must be a JSON object")
+    flags = _sim_settings(args)
     table1 = harness.TABLE_SPECS[1]
-    err_kind = base.get("error", {}).get("kind", "gauss")
-    err_omega = base.get("error", {}).get("omega", np.eye(2).tolist())
-    if getattr(args, "error", None) is not None:
-        err_kind = _ERROR_FLAG[args.error]
-    n = args.n if args.n is not None else base.get("n", 200)
-    merged = dict(
-        n=n,
-        q=args.q if args.q is not None else base.get("q", 5),
-        concentration=(args.concentration if args.concentration is not None
-                       else base.get("concentration", n * table1["lam"])),
-        beta_star=(args.beta_star if args.beta_star is not None
-                   else base.get("beta_star", table1["beta_star"])),
-        error=ErrorSpec(kind=err_kind, omega=np.asarray(err_omega, dtype=float)),
-        reps=args.reps if args.reps is not None else base.get("reps", 1000),
-        boot_reps=args.boot_reps if args.boot_reps is not None else base.get("boot_reps", 1000),
-        alpha=args.alpha if args.alpha is not None else base.get("alpha", 0.05),
-        master_seed=args.seed if args.seed is not None else base.get("master_seed", 0),
-    )
-    grid = base.get("beta_grid", tuple(harness.TABLE_SPECS[1]["grid"]))
-    if getattr(args, "grid", None):
-        grid = _parse_grid(args.grid)
-    merged["beta_grid"] = tuple(grid)
-    return SimConfig(**merged)
+    try:
+        error = settings.pop("error", {})
+        if "error" in flags:
+            error = {**error, "kind": flags.pop("error").replace("-", "_")}
+        settings.update(flags)
+        settings.setdefault("concentration", settings.get("n", SimConfig.n) * table1["lam"])
+        settings.setdefault("beta_star", table1["beta_star"])
+        settings.setdefault("beta_grid", tuple(table1["grid"]))
+        return SimConfig(**settings, error=ErrorSpec(**error))
+    except TypeError as exc:  # a key that is not a field, or a value of the wrong type
+        raise ValueError(f"config {args.config}: {exc}") from None
 
 
 def _emit(text: str, out_path) -> None:
@@ -173,11 +121,10 @@ def run_all_tests_once(config: SimConfig, beta0: float) -> list:
 
     blr_crit, n_retries = harness._blr_quantiles(
         engine, y1, y2, q11, q12, q22, RngStream(config.master_seed, 1).generator())
-    z_star = (float(blr_crit[0]) - config.q) / np.sqrt(config.q)
-    thr = config.q + z_star * np.sqrt(config.q)
-    outcomes.append(TestOutcome("BLR", stat, thr, stat > thr,
+    crit = float(blr_crit[0])
+    outcomes.append(TestOutcome("BLR", stat, crit, stat > crit,
                                 {"n_boot": config.boot_reps, "n_retries": n_retries,
-                                 "z_star_alpha": float(z_star)}))
+                                 "z_star_alpha": (crit - config.q) / np.sqrt(config.q)}))
 
     clr_crit = benchmark.clr_critical(tt, config.q, config.alpha,
                                       n_sims=harness.N_CLR_SIMS,
@@ -212,11 +159,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
-    reps = args.reps if args.reps is not None else 1000
-    boot = args.boot_reps if args.boot_reps is not None else 1000
-    alpha = args.alpha if args.alpha is not None else 0.05
-    table, report = harness.reproduce_table(args.table, reps=reps, boot_reps=boot,
-                                            master_seed=args.seed, alpha=alpha)
+    table, report = harness.reproduce_table(args.table, **_sim_settings(args))
     if args.format == "json":
         _emit(_json_text({"table": table.to_dict(), "report": report.to_dict()}), args.out)
     else:
@@ -258,13 +201,68 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "power": _cmd_power,
-    "test": _cmd_test,
-    "reproduce-table": _cmd_reproduce_table,
-    "diagnose": _cmd_diagnose,
+def _parse_grid(text: str) -> tuple:
+    try:
+        start, step, end = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be start:step:end, got {text!r}") from None
+    if step <= 0 or end < start:
+        raise argparse.ArgumentTypeError(f"empty grid {text!r}")
+    values = np.arange(start, end + 0.5 * step, step)
+    return tuple(np.round(values, 10))
+
+
+# Every flag of the CLI, in --help order.  A setting a command line leaves
+# out stays out of the namespace, so the library's default applies.
+_FLAGS = {
+    "config": dict(default=None, help="JSON config file; flags override"),
+    "n": dict(type=int, help=f"sample size (default {SimConfig.n})"),
+    "q": dict(type=int, help=f"instrument count (default {SimConfig.q})"),
+    "concentration": dict(type=float,
+                          help="c with pi'ZZ'pi = c/n (default: table-1 calibration)"),
+    "beta-star": dict(type=float,
+                      help="true structural coefficient (default: table-1 calibration)"),
+    "error": dict(choices=sorted(k.replace("_", "-") for k in ERROR_KINDS),
+                  help=f"error law (default {ErrorSpec.kind})"),
+    "alpha": dict(type=float, help=f"test level (default {SimConfig.alpha})"),
+    "reps": dict(type=int, help="Monte Carlo replications"),
+    "boot-reps": dict(type=int, help="bootstrap draws per test"),
+    "seed": dict(type=int, dest="master_seed", metavar="SEED",
+                 help=f"master seed (default {SimConfig.master_seed})"),
+    "grid": dict(type=_parse_grid, dest="beta_grid", metavar="GRID",
+                 help="hypothesized beta0 grid as start:step:end"),
+    "out": dict(default=None, help="output path (default stdout)"),
+    "format": dict(choices=("csv", "json"), default="csv", help="output format (default csv)"),
+    "beta0": dict(type=float, default=1.0, help="hypothesized beta"),
+    "table": dict(type=int, choices=(1, 2, 3, 4), required=True),
 }
+
+_MODEL_FLAGS = ("config", "n", "q", "concentration", "beta-star", "error", "seed")
+
+_SUBCOMMANDS = {
+    "simulate": (_cmd_simulate, "generate one dataset", _MODEL_FLAGS + ("format", "out")),
+    "power": (_cmd_power, "full power curve over the beta0 grid",
+              _MODEL_FLAGS + ("alpha", "reps", "boot-reps", "grid", "format", "out")),
+    "test": (_cmd_test, "all five tests of H0: beta = beta0 on one dataset",
+             _MODEL_FLAGS + ("alpha", "boot-reps", "beta0", "out")),
+    "reproduce-table": (_cmd_reproduce_table, "rerun a reference table and compare",
+                        ("table", "alpha", "reps", "boot-reps", "seed", "format", "out")),
+    "diagnose": (_cmd_diagnose, "finite-sample condition diagnostics",
+                 _MODEL_FLAGS + ("out",)),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="ivboot",
+                                description="bootstrap likelihood-ratio testing harness")
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    for name, (command, help_text, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        sp.set_defaults(command=command)
+        for flag, spec in _FLAGS.items():
+            if flag in flags:
+                sp.add_argument("--" + flag, **spec)
+    return p
 
 
 def run(argv=None) -> int:
@@ -276,8 +274,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.subcommand](args)
-    except (ValueError, OSError, json.JSONDecodeError, BootstrapAbortError) as exc:
+        return args.command(args)
+    except (ValueError, OSError, BootstrapAbortError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,17 +45,13 @@ CLR_GRID_NODES = 65
 # the generator while every statistic still assumes the identity.
 TABLE_SPECS = {
     1: dict(kind="gauss", lam=221.4368, beta_star=1.0118, w1=1.7569, w2=0.3042,
-            grid=np.round(np.arange(0.48, 1.77, 0.08), 2), nominal_c=4.0,
-            lr_oracle="dgp", caption="power, weak instruments"),
+            grid=np.round(np.arange(0.48, 1.77, 0.08), 2), lr_oracle="dgp"),
     2: dict(kind="laplace", lam=149.2166, beta_star=0.9986, w1=1.7981, w2=0.3162,
-            grid=np.round(np.arange(0.02, 2.27, 0.14), 2), nominal_c=2.56,
-            lr_oracle="nominal", caption="power, weak instruments, Laplace errors"),
+            grid=np.round(np.arange(0.02, 2.27, 0.14), 2), lr_oracle="nominal"),
     3: dict(kind="hetero_linear", lam=138.4373, beta_star=1.0638, w1=1.4181, w2=0.7461,
-            grid=np.round(np.arange(-0.26, 2.41, 0.14), 2), nominal_c=2.56,
-            lr_oracle="nominal", caption="power, weak instruments, heteroskedastic errors"),
+            grid=np.round(np.arange(-0.26, 2.41, 0.14), 2), lr_oracle="nominal"),
     4: dict(kind="hetero_periodic", lam=146.9124, beta_star=1.0505, w1=1.7232, w2=0.5128,
-            grid=np.round(np.arange(0.16, 2.41, 0.14), 2), nominal_c=2.56,
-            lr_oracle="dgp", caption="power, weak instruments, periodic heteroskedastic errors"),
+            grid=np.round(np.arange(0.16, 2.41, 0.14), 2), lr_oracle="dgp"),
 }
 
 _TABLE_SEED = 20_260_801
@@ -403,13 +399,13 @@ def compare_to_reference(table: PowerTable, reference_id: int) -> ComparisonRepo
 
 
 def reproduce_table(reference_id: int, reps: int = 1000, boot_reps: int = 1000,
-                    master_seed=None, alpha: float = 0.05, n_threads=None):
+                    master_seed=None, alpha: float = 0.05):
     """Run the calibrated config of a reference table and compare."""
     cfg = table_config(reference_id, reps=reps, boot_reps=boot_reps,
                        master_seed=master_seed, alpha=alpha)
     oracle = None
     if TABLE_SPECS[reference_id]["lr_oracle"] == "nominal":
         oracle = ErrorSpec(kind=cfg.error.kind, omega=np.eye(2))
-    table = power_curve(cfg, n_threads=n_threads, lr_oracle_error=oracle)
+    table = power_curve(cfg, lr_oracle_error=oracle)
     report = compare_to_reference(table, reference_id)
     return table, report

@@ -63,8 +63,9 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (self.n >= self.q >= 1):
-            raise ValueError(f"need n >= q >= 1, got n={self.n}, q={self.q}")
+        if not 1 <= self.q <= self.n / 2:
+            raise ValueError(f"need 1 <= q <= n/2, got n={self.n}, q={self.q} (cosine row j "
+                             f"repeats row n - j for n/2 < j < n, so Z Z' is singular)")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not 0.0 < self.alpha < 1.0:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,24 @@ import pytest
 from ivboot.cli import run
 
 
-BASE = ["--n", "60", "--q", "3", "--concentration", "3000", "--reps", "25",
-        "--boot-reps", "120", "--seed", "11"]
+MODEL = ["--n", "60", "--q", "3", "--concentration", "3000", "--seed", "11"]
+BOOT = ["--boot-reps", "120"]
+POWER = MODEL + ["--reps", "25"] + BOOT
+
+MODEL_FLAGS = ["--config", "--n", "--q", "--concentration", "--beta-star", "--error", "--seed"]
+FLAGS = {
+    "simulate": MODEL_FLAGS + ["--format", "--out"],
+    "power": MODEL_FLAGS + ["--alpha", "--reps", "--boot-reps", "--grid", "--format", "--out"],
+    "test": MODEL_FLAGS + ["--alpha", "--boot-reps", "--beta0", "--out"],
+    "reproduce-table": ["--table", "--alpha", "--reps", "--boot-reps", "--seed", "--format",
+                        "--out"],
+    "diagnose": MODEL_FLAGS + ["--out"],
+}
+# a valid value for every flag of the CLI
+VALUES = {"--config": "cfg.json", "--n": "60", "--q": "3", "--concentration": "3000",
+          "--beta-star": "1.0", "--error": "laplace", "--seed": "11", "--alpha": "0.05",
+          "--reps": "25", "--boot-reps": "120", "--grid": "0.8:0.2:1.2", "--format": "json",
+          "--out": "o.txt", "--beta0": "1.0", "--table": "1"}
 
 
 def test_help_lists_flags(capsys):
@@ -21,10 +38,23 @@ def test_help_lists_flags(capsys):
     assert "--table" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("subcommand", FLAGS)
+def test_subcommand_takes_exactly_the_flags_it_reads(capsys, subcommand):
+    assert run([subcommand, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert listed == set(FLAGS[subcommand]) | {"--help"}
+    required = ["--table", "1"] if subcommand == "reproduce-table" else []
+    for flag in sorted(set(VALUES) - set(FLAGS[subcommand])):
+        assert run([subcommand] + required + [flag, VALUES[flag]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {flag} " in err
+
+
 def test_simulate_csv_deterministic(tmp_path):
     f1 = tmp_path / "a.csv"
     f2 = tmp_path / "b.csv"
-    argv = ["simulate"] + BASE
+    argv = ["simulate"] + MODEL
     assert run(argv + ["--out", str(f1)]) == 0
     assert run(argv + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
@@ -35,7 +65,7 @@ def test_simulate_csv_deterministic(tmp_path):
 
 def test_power_csv_shape(tmp_path):
     out = tmp_path / "p.csv"
-    code = run(["power", "--grid", "0.8:0.2:1.2"] + BASE + ["--out", str(out)])
+    code = run(["power", "--grid", "0.8:0.2:1.2"] + POWER + ["--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "offset,LR,BLR,CLR,AR,LM"
@@ -45,7 +75,7 @@ def test_power_csv_shape(tmp_path):
 
 
 def test_power_identical_across_thread_env(tmp_path, monkeypatch):
-    argv = ["power", "--grid", "0.8:0.2:1.2"] + BASE
+    argv = ["power", "--grid", "0.8:0.2:1.2"] + POWER
     f1 = tmp_path / "t1.csv"
     monkeypatch.setenv("IVBOOT_THREADS", "1")
     assert run(argv + ["--out", str(f1)]) == 0
@@ -57,7 +87,7 @@ def test_power_identical_across_thread_env(tmp_path, monkeypatch):
 
 def test_power_json_format(tmp_path):
     out = tmp_path / "p.json"
-    assert run(["power", "--grid", "0.9:0.2:1.1"] + BASE + ["--format", "json",
+    assert run(["power", "--grid", "0.9:0.2:1.1"] + POWER + ["--format", "json",
                 "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["rows"].keys() == {"LR", "BLR", "CLR", "AR", "LM"}
@@ -66,7 +96,7 @@ def test_power_json_format(tmp_path):
 
 def test_test_subcommand_emits_all_five(tmp_path):
     out = tmp_path / "t.json"
-    assert run(["test", "--beta0", "1.0"] + BASE + ["--out", str(out)]) == 0
+    assert run(["test", "--beta0", "1.0"] + MODEL + BOOT + ["--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     names = [t["name"] for t in payload["tests"]]
     assert names == ["LR", "BLR", "CLR", "AR", "LM"]
@@ -83,7 +113,7 @@ def test_missing_config_exits_one(capsys):
 
 
 def test_bad_grid_exits_one(capsys):
-    assert run(["power", "--grid", "oops"] + BASE) == 1
+    assert run(["power", "--grid", "oops"] + POWER) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -92,8 +122,11 @@ def test_bad_grid_exits_one(capsys):
     (["test", "--n", "20", "--q", "5", "--seed", "1"], "bootstrap aborted"),
     (["test", "--n", "40", "--q", "5", "--seed", "1"], "bootstrap aborted"),
     # q > n/2 repeats cosine rows: a singular normal matrix
-    (["diagnose", "--n", "8", "--q", "5"], "not positive definite"),
-], ids=["test-n20", "test-n40", "diagnose-singular"])
+    (["diagnose", "--n", "8", "--q", "5"], "need 1 <= q <= n/2, got n=8, q=5"),
+    (["test", "--n", "8", "--q", "5"], "need 1 <= q <= n/2, got n=8, q=5"),
+    (["power", "--n", "8", "--q", "5", "--reps", "25", "--boot-reps", "100"],
+     "need 1 <= q <= n/2, got n=8, q=5"),
+], ids=["test-n20", "test-n40", "diagnose-singular", "test-singular", "power-singular"])
 def test_degenerate_runs_exit_one(capsys, argv, message):
     assert run(argv) == 1
     out, err = capsys.readouterr()
@@ -115,9 +148,22 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert payload["reps_used"] == 15
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"n": 60, "q": 3, "seed": 4}, "'seed'"),
+    ({"n": 60, "q": 3, "error": {"kind": "laplace", "rho": 0.5}}, "'rho'"),
+], ids=["top-level", "error"])
+def test_config_file_unknown_key_exits_one(tmp_path, capsys, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and key in err
+
+
 def test_diagnose_json(tmp_path):
     out = tmp_path / "d.json"
-    assert run(["diagnose"] + BASE + ["--out", str(out)]) == 0
+    assert run(["diagnose"] + MODEL + ["--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert "fsc" in payload
     assert "deviation_function_junctions" in payload

@@ -174,6 +174,11 @@ def test_fsc_design_trivial_cases():
     assert not rep.design_ok
     assert rep.design_sup > 0.9
 
+    d_singular = GeneralDesign(eta=np.zeros((1, 10, 2)), zk=np.ones((1, 10)), penalty=0.0)
+    rep = fsc_design_check(d_singular)
+    assert not rep.design_ok
+    assert rep.design_sup == np.inf
+
 
 def test_fsc_report_on_generated_design(gen):
     d = random_cosine_design(200, gen, penalty=1.0)

@@ -102,6 +102,9 @@ def test_error_spec_validation():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n=3, q=5)
+    with pytest.raises(ValueError, match=r"need 1 <= q <= n/2, got n=9, q=5"):
+        SimConfig(n=9, q=5)
+    assert SimConfig(n=10, q=5).q == 5
     with pytest.raises(ValueError):
         SimConfig(alpha=1.5)
     with pytest.raises(ValueError):
