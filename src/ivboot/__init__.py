@@ -43,10 +43,8 @@ from .bootstrap import (
     TestOutcome,
     blr_test,
     boot_loglik,
-    boot_mle,
     boot_quantile,
     boot_wilks_gap,
-    draw_weights,
     t_blr,
 )
 from .benchmark import (

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import gammaincinv
 
 from .basis import GeneralDesign, IvSample, as_generator
 from .bootstrap import RetryDrawError, empirical_upper_quantile
@@ -68,6 +69,13 @@ def ar_from(ss, n_instruments):
 def lm_from(tt, st):
     """Lagrange-multiplier statistic from T'T and S'T, elementwise over arrays."""
     return st * st / tt
+
+
+def chi2_ppf(p, df):
+    """Chi-square(df) quantile at p: the expression scipy.stats.chi2.ppf
+    evaluates, without importing scipy.stats, which would double the
+    package's memory and import time."""
+    return 2 * gammaincinv(df / 2, p)
 
 
 def t_clr(pair: STPair) -> float:

@@ -1,5 +1,5 @@
 """Multiplier bootstrap for the quasi log-likelihood: Gaussian N(1,1)
-weights, the weighted maximizer, the bootstrap likelihood-ratio statistic
+weights, the weighted objective, the bootstrap likelihood-ratio statistic
 centered at the full-sample fit, empirical critical values, and the
 resulting test decision."""
 
@@ -62,13 +62,6 @@ class BootstrapRun:
     dim: int = 0
 
 
-def draw_weights(n: int, rng) -> np.ndarray:
-    """n independent multiplier weights, Gaussian with mean 1 and variance 1."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return as_generator(rng).normal(1.0, 1.0, n)
-
-
 def boot_loglik(design: GeneralDesign, weights, theta) -> float:
     """Weighted quasi log-likelihood: observation i's residual terms and its
     1/n penalty share are both multiplied by u_i."""
@@ -82,53 +75,25 @@ def boot_loglik(design: GeneralDesign, weights, theta) -> float:
     return float(u @ per_obs - pen * u.sum() / design.n_obs)
 
 
-def _weighted_system(design: GeneralDesign, u: np.ndarray):
-    """Weighted normal matrix A_u + lam mean(u) I and right-hand side r_u of
-    the weighted objective.
-
-    Negative weights can make the matrix indefinite; that raises
-    RetryDrawError so the caller can redraw.
-    """
-    eta = design.eta
-    A_u = np.einsum("kij,i,kil->jl", eta, u, eta)
-    r_u = np.einsum("kij,i,ki->j", eta, u, design.zk)
-    M = A_u + design.penalty * u.mean() * np.eye(design.dim)
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise RetryDrawError("weighted normal matrix is not positive definite") from None
-    return M, r_u
-
-
-def boot_mle(design: GeneralDesign, weights) -> np.ndarray:
-    """Maximizer of the weighted objective.
-
-    Negative weights can make the weighted normal matrix indefinite; that
-    raises RetryDrawError so the caller can redraw.
-    """
-    M, r_u = _weighted_system(design, np.asarray(weights, dtype=float))
-    return np.linalg.solve(M, r_u)
-
-
 def t_blr(design: GeneralDesign, weights, projector,
           theta_tilde: Optional[np.ndarray] = None) -> float:
     """Bootstrap likelihood-ratio statistic with the hypothesis centered at
-    the full-sample maximizer: sup L_boot - sup over {Pi(theta - theta_tilde) = 0}."""
+    the full-sample maximizer: sup L_boot - sup over {Pi(theta - theta_tilde) = 0}.
+
+    The batch of one of ``quasilik.weighted_lr``.  Negative weights can make
+    the weighted normal matrix indefinite; that raises RetryDrawError so the
+    caller can redraw.
+    """
     u = np.asarray(weights, dtype=float)
+    if u.shape != (design.n_obs,):
+        raise ValueError(f"weights must be ({design.n_obs},), got {u.shape}")
     if theta_tilde is None:
         theta_tilde = quasilik.mle(design)
-    M, r_u = _weighted_system(design, u)
-    theta_b = np.linalg.solve(M, r_u)
-    full = boot_loglik(design, u, theta_b)
-    _, U0 = quasilik.projector_split(projector)
-    if U0.shape[1] == 0:
-        restricted_theta = theta_tilde
-    else:
-        # theta = theta_tilde + U0 gamma; quadratic in gamma with curvature M
-        g = r_u - M @ theta_tilde
-        gamma = np.linalg.solve(U0.T @ M @ U0, U0.T @ g)
-        restricted_theta = theta_tilde + U0 @ gamma
-    return full - boot_loglik(design, u, restricted_theta)
+    features, n_null = quasilik.lr_features(design, projector, theta_tilde)
+    value, pd = quasilik.weighted_lr(design, features, n_null, u[None])
+    if not pd[0]:
+        raise RetryDrawError("weighted normal matrix is not positive definite")
+    return float(value[0])
 
 
 def boot_score_decomposition(design: GeneralDesign, weights, theta_ref, projector,
@@ -158,8 +123,9 @@ def boot_wilks_gap(design: GeneralDesign, weights, projector,
     theta_tilde = quasilik.mle(design)
     t = t_blr(design, u, projector, theta_tilde=theta_tilde)
     if exact:
-        F_b, r_u = _weighted_system(design, u)
-        g_b = r_u - F_b @ theta_tilde
+        F_b = (np.einsum("kij,i,kil->jl", design.eta, u, design.eta)
+               + design.penalty * u.mean() * np.eye(design.dim))
+        g_b = u @ quasilik.grad_contributions(design, theta_tilde)
         sd = quasilik.score_from_parts(g_b, F_b, projector)
     else:
         if theta_star is None:
@@ -186,28 +152,34 @@ def boot_quantile(design: GeneralDesign, projector, n_boot: int, alpha: float,
     """Draw n_boot multiplier-bootstrap statistics and locate the critical
     quantile of (T_BLR - J)/sqrt(J).
 
-    Indefinite weighted normal matrices (possible under negative weights)
-    trigger a redraw, counted in ``n_retries``; check_redraws aborts the
-    run when they exceed its budget.
+    The weights come as one (n_boot, n) block from a single normal() call,
+    the same stream as n_boot draws of n, and ``quasilik.weighted_lr``
+    evaluates the whole block.  A draw whose weighted normal matrix is not
+    positive definite (possible under negative weights) is dropped in draw
+    order and as many new draws are made, until n_boot are kept; the kept
+    draws are those a draw-by-draw loop would keep.  Redraws are counted in
+    ``n_retries``, one at a time, and check_redraws aborts the run when they
+    exceed its budget.
     """
     if n_boot < 100:
         raise ValueError(f"n_boot must be >= 100, got {n_boot}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     gen = as_generator(rng)
-    theta_tilde = quasilik.mle(design)
+    features, n_null = quasilik.lr_features(design, projector, quasilik.mle(design))
     J = design.dim
-    samples = np.empty(n_boot)
+    kept = []
     retries = 0
-    for b in range(n_boot):
-        while True:
-            u = gen.normal(1.0, 1.0, design.n_obs)
-            try:
-                samples[b] = t_blr(design, u, projector, theta_tilde=theta_tilde)
-                break
-            except RetryDrawError:
-                retries += 1
+    need = n_boot
+    while need:
+        u = gen.normal(1.0, 1.0, (need, design.n_obs))
+        values, pd = quasilik.weighted_lr(design, features, n_null, u)
+        kept.append(values[pd])
+        for _ in range(need - len(kept[-1])):
+            retries += 1
             check_redraws(retries, n_boot)
+        need -= len(kept[-1])
+    samples = np.concatenate(kept)
     z = empirical_upper_quantile((samples - J) / np.sqrt(J), alpha)
     return BootstrapRun(n_boot=n_boot, t_blr_samples=samples, z_star_alpha=z,
                         alpha=alpha, n_retries=retries, dim=J)

@@ -10,7 +10,6 @@ import json
 import sys
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import benchmark, diagnostics, harness, quasilik
 from .basis import RngStream
@@ -133,11 +132,11 @@ def run_all_tests_once(config: SimConfig, beta0: float) -> list:
                                 {"t_norm2": tt}))
 
     ar = benchmark.ar_from(ss, config.q)
-    ar_crit = chi2.ppf(1 - config.alpha, config.q) / config.q
+    ar_crit = benchmark.chi2_ppf(1 - config.alpha, config.q) / config.q
     outcomes.append(TestOutcome("AR", ar, float(ar_crit), ar > ar_crit, {}))
 
     lm = benchmark.lm_from(tt, st)
-    lm_crit = chi2.ppf(1 - config.alpha, 1)
+    lm_crit = benchmark.chi2_ppf(1 - config.alpha, 1)
     outcomes.append(TestOutcome("LM", lm, float(lm_crit), lm > lm_crit, {}))
     return outcomes
 
@@ -237,6 +236,9 @@ _FLAGS = {
     "table": dict(type=int, choices=(1, 2, 3, 4), required=True),
 }
 
+# Help texts that differ by subcommand: a table rerun starts from its own seed.
+_HELP = {("reproduce-table", "seed"): "master seed (default: the table's own seed)"}
+
 _MODEL_FLAGS = ("config", "n", "q", "concentration", "beta-star", "error", "seed")
 
 _SUBCOMMANDS = {
@@ -261,7 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(command=command)
         for flag, spec in _FLAGS.items():
             if flag in flags:
-                sp.add_argument("--" + flag, **spec)
+                sp.add_argument("--" + flag,
+                                **{**spec, "help": _HELP.get((name, flag), spec.get("help"))})
     return p
 
 

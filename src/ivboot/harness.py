@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.stats import chi2
 
 from .basis import RngStream, cosine_design
-from .benchmark import (_top_eigvec_2x2, ar_from, clr_critical_values, lm_from,
+from .benchmark import (_top_eigvec_2x2, ar_from, chi2_ppf, clr_critical_values, lm_from,
                         st_quadratics, tclr_from)
 from .bootstrap import check_redraws, empirical_upper_quantile
+from .quasilik import packed_cholesky_solve
 from .simgen import ErrorSpec, SimConfig, _gen_errors_batch, gen_pi
 
 TEST_NAMES = ("LR", "BLR", "CLR", "AR", "LM")
@@ -171,13 +171,9 @@ class _Engine:
         self.x = self.z.T @ self.pi
         gram = self.z @ self.z.T
         self.gram_inv = np.linalg.inv(gram)
-        # upper-triangle feature matrix for one-dgemm weighted Gram builds;
-        # row k of the Gram (from its diagonal on) is the k-th slice below
-        J, n = self.z.shape
-        iu = np.triu_indices(J)
+        # upper-triangle feature matrix for one-dgemm weighted Gram builds
+        iu = np.triu_indices(self.z.shape[0])
         self.features = (self.z[iu[0]] * self.z[iu[1]])  # (J(J+1)/2, n)
-        starts = np.searchsorted(iu[0], np.arange(J + 1))
-        self.gram_rows = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
 
     def quadratics(self, ZY1, ZY2):
         """q11, q12, q22 of the 2x2 profile matrix H per replication, from
@@ -194,10 +190,10 @@ def _weighted_profile(engine: _Engine, u, y1, y2):
     weighting its replication's y1, y2 (R, n), with a per-row verdict.
 
     For one row, hb = W' G^{-1} W with G = Z diag(u) Z' and W = Z diag(u)
-    (y1, y2).  G = C'C is factored by Cholesky and hb = A'A with
-    A = C'^{-1} W.  The verdict says whether G is positive definite: every
-    pivot of the factorization is positive.  The hb of a row that fails is
-    finite but meaningless.  Returns hb11, hb12, hb22 and the verdict, each
+    (y1, y2), so hb = A'A with A = C'^{-1} W from the Cholesky factor
+    G = C'C of ``quasilik.packed_cholesky_solve``.  The verdict says whether
+    G is positive definite.  The hb of a row that fails is finite but
+    meaningless.  Returns hb11, hb12, hb22 and the verdict, each
     shaped (R, B).
     """
     J = engine.config.q
@@ -206,20 +202,7 @@ def _weighted_profile(engine: _Engine, u, y1, y2):
     gram = u.reshape(m, n) @ engine.features.T  # packed upper triangle of G
     zy = np.concatenate([y1[:, :, None] * engine.z.T, y2[:, :, None] * engine.z.T], axis=2)
     w = np.matmul(u, zy).reshape(m, 2, J)
-    crow = []  # crow[i] = C[i, i:], row i of the Cholesky factor
-    a = np.empty((m, 2, J))  # a[:, :, k] = row k of A
-    pd = np.ones(m, dtype=bool)
-    for k in range(J):
-        g = gram[:, engine.gram_rows[k]]
-        wk = w[:, :, k]
-        for i in range(k):
-            cik = crow[i][:, k - i, None]
-            g = g - cik * crow[i][:, k - i:]
-            wk = wk - cik * a[:, :, i]
-        pd &= g[:, 0] > 0
-        piv = np.sqrt(np.where(pd, g[:, 0], 1.0))[:, None]
-        crow.append(g / piv)
-        a[:, :, k] = wk / piv
+    a, pd = packed_cholesky_solve(gram, w)
     hb11 = np.einsum("mj,mj->m", a[:, 0], a[:, 0])
     hb12 = np.einsum("mj,mj->m", a[:, 0], a[:, 1])
     hb22 = np.einsum("mj,mj->m", a[:, 1], a[:, 1])
@@ -372,8 +355,8 @@ def _grid_rates(engine: _Engine, sample, S: np.ndarray, v: float, lr_crit: float
     return (np.mean(tclr > lr_crit),
             np.mean(tclr > blr_crit),
             np.mean(tclr > _clr_critical_curve(S, tt, cfg.alpha)),
-            np.mean(ar_from(ss, cfg.q) > chi2.ppf(1 - cfg.alpha, cfg.q) / cfg.q),
-            np.mean(lm_from(tt, st) > chi2.ppf(1 - cfg.alpha, 1)))
+            np.mean(ar_from(ss, cfg.q) > chi2_ppf(1 - cfg.alpha, cfg.q) / cfg.q),
+            np.mean(lm_from(tt, st) > chi2_ppf(1 - cfg.alpha, 1)))
 
 
 def compare_to_reference(table: PowerTable, reference_id: int) -> ComparisonReport:

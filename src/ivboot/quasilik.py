@@ -128,9 +128,87 @@ def restricted_mle(design: GeneralDesign, projector) -> np.ndarray:
     return U0 @ gamma
 
 
+def packed_cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
+    """Batched Cholesky solve with a positive-definiteness verdict per row.
+
+    ``gram`` (m, J(J+1)/2) holds the upper triangle of each symmetric G row
+    by row (numpy.triu_indices order) and ``rhs`` is (m, c, J).  G = C'C is
+    factored by a J-step loop vectorized over the m rows.  Returns
+    A = C'^{-1} rhs, shaped (m, c, J), and the verdict: every pivot of the
+    factorization is positive.  The A of a row that fails is finite but
+    meaningless.
+    """
+    m, c, J = rhs.shape
+    crow = []  # crow[i] = C[i, i:], row i of the Cholesky factor
+    a = np.empty((m, c, J))  # a[:, :, k] = row k of A
+    pd = np.ones(m, dtype=bool)
+    for k in range(J):
+        start = k * J - k * (k - 1) // 2  # row k of G, from its diagonal on
+        g = gram[:, start:start + J - k]
+        wk = rhs[:, :, k]
+        for i in range(k):
+            cik = crow[i][:, k - i, None]
+            g = g - cik * crow[i][:, k - i:]
+            wk = wk - cik * a[:, :, i]
+        pd &= g[:, 0] > 0
+        piv = np.sqrt(np.where(pd, g[:, 0], 1.0))[:, None]
+        crow.append(g / piv)
+        a[:, :, k] = wk / piv
+    return a, pd
+
+
+def lr_features(design: GeneralDesign, projector, theta_ref) -> tuple[np.ndarray, int]:
+    """Per-observation features of the quadratic objective in the basis
+    Q = [U0 | U1] of ``projector_split``, and dim U0.
+
+    Row i packs the upper triangle of sum_k Q'eta_ki eta_ki'Q, then
+    Q' grad l_i(theta_ref), the term of ``grad_contributions``; shape
+    (n, J(J+1)/2 + J).  ``theta_ref`` must satisfy the hypothesis.
+    """
+    U1, U0 = projector_split(projector)
+    Q = np.hstack([U0, U1])
+    eta = design.eta @ Q
+    iu = np.triu_indices(design.dim)
+    gram = np.sum(eta[:, :, iu[0]] * eta[:, :, iu[1]], axis=0)
+    grad = grad_contributions(design, theta_ref) @ Q
+    return np.hstack([gram, grad]), U0.shape[1]
+
+
+def weighted_lr(design: GeneralDesign, features: np.ndarray, n_null: int, weights):
+    """Likelihood-ratio statistic of the weighted objective for each weight
+    row of ``weights`` (m, n), with the ``lr_features`` of a design, and
+    each row's positive-definiteness verdict.
+
+    Expanded at theta_ref, the weighted objective is quadratic with
+    curvature M_u = A_u + penalty mean(u) I and gradient g_u.  One GEMM
+    gives every row's packed A_u and g_u in the basis Q; with the Cholesky
+    factor L of M_u and w = L^{-1} g_u, the full supremum gains ||w||^2 / 2
+    and the restricted one the part in its leading n_null coordinates, so
+    the statistic is ||w[n_null:]||^2 / 2.  A row whose M_u is not positive
+    definite gets a meaningless value and a False verdict.
+    """
+    J = design.dim
+    sums = weights @ features
+    gram, grad = sums[:, :-J], sums[:, -J:]
+    diagonal = [k * J - k * (k - 1) // 2 for k in range(J)]
+    gram[:, diagonal] += design.penalty * weights.mean(axis=1)[:, None]
+    w, pd = packed_cholesky_solve(gram, grad[:, None, :])
+    tail = w[:, 0, n_null:]
+    return 0.5 * np.einsum("mj,mj->m", tail, tail), pd
+
+
 def t_lr(design: GeneralDesign, projector) -> float:
-    """Likelihood-ratio statistic sup L - sup_{H0} L (>= 0 up to rounding)."""
-    return loglik(design, mle(design)) - loglik(design, restricted_mle(design, projector))
+    """Likelihood-ratio statistic sup L - sup_{H0} L, a sum of squares.
+
+    The batch of one of ``weighted_lr`` at unit weights, expanded at the
+    feasible point theta = 0.
+    """
+    features, n_null = lr_features(design, projector, np.zeros(design.dim))
+    value, pd = weighted_lr(design, features, n_null, np.ones((1, design.n_obs)))
+    if not pd[0]:
+        raise SingularDesignError(
+            "normal matrix is singular with penalty=0; refit with penalty > 0")
+    return float(value[0])
 
 
 def fit(design: GeneralDesign, projector) -> FitResult:

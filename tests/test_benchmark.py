@@ -9,6 +9,7 @@ from ivboot.benchmark import (
     ams_blr_statistic,
     ams_lr_statistic,
     ams_profile_loglik,
+    chi2_ppf,
     clr_critical,
     profile_sup,
     st_vectors,
@@ -231,3 +232,10 @@ def test_profile_sup_matches_grid_oracle():
     grid = np.linspace(bhat - 0.5, bhat + 0.5, 4001)
     vals = [ams_profile_loglik(s, b).value for b in grid]
     assert sup_val >= max(vals) - 1e-9
+
+
+def test_chi2_ppf_is_scipy_stats_chi2_ppf():
+    # bit-equal, so the AR and LM critical values and decisions do not move
+    p = np.linspace(0.001, 0.999, 101)
+    for df in (1, 2, 5, 12):
+        assert np.array_equal(chi2_ppf(p, df), chi2.ppf(p, df))

@@ -5,26 +5,14 @@ from ivboot import GeneralDesign, RngStream, RetryDrawError
 from ivboot.bootstrap import (
     blr_test,
     boot_loglik,
-    boot_mle,
     boot_quantile,
     boot_wilks_gap,
-    draw_weights,
     empirical_upper_quantile,
     t_blr,
 )
 from ivboot.quasilik import loglik, mle, t_lr
 
 from conftest import H0_PROJECTOR, THETA_FEASIBLE, population_fisher, random_cosine_design
-
-
-def test_draw_weights_moments():
-    u = draw_weights(100_000, RngStream(3, 0))
-    assert abs(u.mean() - 1.0) <= 3.0 / np.sqrt(100_000)
-    assert abs(u.var() - 1.0) <= 5.0 / np.sqrt(100_000)
-
-
-def test_draw_weights_deterministic():
-    assert np.array_equal(draw_weights(50, RngStream(3, 1)), draw_weights(50, RngStream(3, 1)))
 
 
 def test_boot_loglik_unit_weights_reduce(gen):
@@ -55,34 +43,11 @@ def test_boot_loglik_linearity_in_weights(gen):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_boot_mle_unit_weights(gen):
-    d = random_cosine_design(30, gen, penalty=0.4)
-    assert np.allclose(boot_mle(d, np.ones(30)), mle(d))
-
-
-def test_boot_mle_zero_responses(gen):
-    d = random_cosine_design(30, gen, penalty=0.4)
-    d0 = GeneralDesign(eta=d.eta, zk=np.zeros_like(d.zk), penalty=0.4)
-    u = gen.normal(1, 1, 30)
-    assert np.allclose(boot_mle(d0, u), 0.0)
-
-
-def test_boot_mle_matches_numeric_optimizer(gen):
-    from scipy.optimize import minimize
-
-    d = random_cosine_design(20, gen, theta=np.array([0.5, -0.2, 0.1]), penalty=0.6)
-    u = gen.normal(1, 1, 20)
-    theta_b = boot_mle(d, u)
-    res = minimize(lambda th: -boot_loglik(d, u, th), np.zeros(3), method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 4000})
-    assert np.linalg.norm(theta_b - res.x) < 1e-4
-
-
-def test_boot_mle_indefinite_raises():
+def test_t_blr_indefinite_raises():
     eta = np.ones((1, 1, 1))
     d = GeneralDesign(eta=eta, zk=np.ones((1, 1)), penalty=0.0)
     with pytest.raises(RetryDrawError):
-        boot_mle(d, np.array([-1.0]))
+        t_blr(d, np.array([-1.0]), np.eye(1))
 
 
 def test_t_blr_unit_weights_zero(gen):
@@ -177,7 +142,6 @@ def test_blr_size_on_null_linear_design():
 def test_unit_weights_collapse_entire_pipeline(gen):
     d = random_cosine_design(40, gen, penalty=0.3)
     u = np.ones(40)
-    assert boot_mle(d, u) == pytest.approx(mle(d))
     assert boot_loglik(d, u, THETA_FEASIBLE) == loglik(d, THETA_FEASIBLE)
     assert t_blr(d, u, H0_PROJECTOR) == pytest.approx(0.0, abs=1e-10)
 

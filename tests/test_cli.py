@@ -35,7 +35,9 @@ def test_help_lists_flags(capsys):
                  "--concentration", "--n", "--q", "--grid", "--out", "--format"):
         assert flag in text
     assert run(["reproduce-table", "--help"]) == 0
-    assert "--table" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "--table" in text
+    assert "master seed (default: the table's own seed)" in text
 
 
 @pytest.mark.parametrize("subcommand", FLAGS)

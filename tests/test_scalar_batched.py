@@ -3,13 +3,14 @@ each statistic has one implementation, and a single sample is a batch of
 one."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from ivboot import RngStream
+from ivboot import GeneralDesign, RngStream
 from ivboot.benchmark import (
     ams_blr_statistic,
     ams_lr_statistic,
@@ -23,9 +24,14 @@ from ivboot.benchmark import (
     t_lm,
     tclr_from,
 )
-from ivboot.bootstrap import RetryDrawError, empirical_upper_quantile
+from ivboot.bootstrap import (RetryDrawError, boot_loglik, boot_quantile, check_redraws,
+                              empirical_upper_quantile)
 from ivboot.harness import TABLE_SPECS, _blr_quantiles, _Engine, table_config
+from ivboot.quasilik import (lr_features, loglik, mle, projector_split, restricted_mle, t_lr,
+                             weighted_lr)
 from ivboot.simgen import ERROR_KINDS, ErrorSpec, _gen_errors_batch, gen_errors, gen_sample
+
+from conftest import H0_PROJECTOR, random_cosine_design
 
 seeds = hs.integers(0, 2**32 - 1)
 kinds = hs.sampled_from(ERROR_KINDS)
@@ -164,3 +170,114 @@ def test_blr_redraws_every_indefinite_gram():
     assert n_retries == n_redrawn
     assert crit[0] == pytest.approx(empirical_upper_quantile(np.array(loop), cfg.alpha),
                                     rel=1e-10)
+
+
+def reference_maxima(design, u, projector, theta_tilde):
+    """The full and the restricted maxima of boot_loglik for one weight
+    vector, each from its own linear solve; their difference is T_BLR.
+    Raises RetryDrawError when numpy's Cholesky rejects the weighted normal
+    matrix."""
+    A_u = np.einsum("kij,i,kil->jl", design.eta, u, design.eta)
+    r_u = np.einsum("kij,i,ki->j", design.eta, u, design.zk)
+    M = A_u + design.penalty * u.mean() * np.eye(design.dim)
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise RetryDrawError("weighted normal matrix is not positive definite") from None
+    full = boot_loglik(design, u, np.linalg.solve(M, r_u))
+    _, U0 = projector_split(projector)
+    restricted = theta_tilde
+    if U0.shape[1]:
+        # theta = theta_tilde + U0 gamma; quadratic in gamma with curvature M
+        g = r_u - M @ theta_tilde
+        restricted = theta_tilde + U0 @ np.linalg.solve(U0.T @ M @ U0, U0.T @ g)
+    return full, boot_loglik(design, u, restricted)
+
+
+def _close_to_reference(batched, full, restricted):
+    # the reference subtracts two maxima, so it carries an absolute
+    # rounding error of a few ulps of their size
+    reference = full - restricted
+    return (abs(batched - reference)
+            <= 1e-9 * abs(reference) + 1e-13 * (1.0 + abs(full) + abs(restricted)))
+
+
+@hs.composite
+def quasilik_cases(draw):
+    """A random design with J = 1..6 regressors and K = 1..3 instruments, a
+    random orthogonal projector of rank 0..J, and a penalty, 0 included."""
+    gen = np.random.default_rng(draw(seeds))
+    J = draw(hs.integers(1, 6))
+    K = draw(hs.integers(1, 3))
+    n = draw(hs.integers(J + 2, 200))
+    eta = gen.normal(0.0, 1.0, (K, n, J)) * gen.uniform(0.2, 3.0, J)
+    zk = eta @ gen.normal(0.0, 1.0, J) + gen.normal(0.0, 1.5, (K, n))
+    penalty = draw(hs.sampled_from([0.0, 1e-3, 0.5, 5.0]))
+    basis, _ = np.linalg.qr(gen.standard_normal((J, J)))
+    rank = draw(hs.integers(0, J))
+    projector = basis[:, :rank] @ basis[:, :rank].T
+    return GeneralDesign(eta=eta, zk=zk, penalty=penalty), projector, gen
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=quasilik_cases())
+def test_weighted_lr_matches_reference_per_draw(case):
+    design, projector, gen = case
+    theta_tilde = mle(design)
+    u = gen.normal(1.0, 1.0, (40, design.n_obs))
+    values, pd = weighted_lr(design, *lr_features(design, projector, theta_tilde), u)
+    for b in range(len(u)):
+        try:
+            maxima = reference_maxima(design, u[b], projector, theta_tilde)
+        except RetryDrawError:
+            assert not pd[b]
+            continue
+        assert pd[b]
+        assert _close_to_reference(values[b], *maxima)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=quasilik_cases())
+def test_t_lr_matches_difference_of_maxima(case):
+    design, projector, _ = case
+    assert _close_to_reference(t_lr(design, projector), loglik(design, mle(design)),
+                               loglik(design, restricted_mle(design, projector)))
+
+
+def _sequential_boot(design, projector, n_boot, gen):
+    """boot_quantile's samples and redraw count, one gen.normal(1, 1, n)
+    vector at a time, skipping each vector numpy's Cholesky rejects."""
+    theta_tilde = mle(design)
+    samples, retries = [], 0
+    while len(samples) < n_boot:
+        try:
+            full, restricted = reference_maxima(design, gen.normal(1.0, 1.0, design.n_obs),
+                                                projector, theta_tilde)
+            samples.append(full - restricted)
+        except RetryDrawError:
+            retries += 1
+            check_redraws(retries, n_boot)
+    return np.array(samples), retries
+
+
+@pytest.mark.parametrize("n, n_instruments, n_boot, seed", [
+    (50, 1, 1000, 3), (60, 1, 1000, 1), (40, 2, 1000, 2), (100, 1, 1000, 1),  # 9, 4, 3, 1 redraws
+    (30, 1, 1000, 2), (25, 2, 500, 4),  # aborts
+])
+def test_boot_quantile_is_the_sequential_redraw_loop(n, n_instruments, n_boot, seed):
+    # at small n, N(1, 1) weights make some weighted normal matrices
+    # indefinite: the batched bootstrap must keep and count the same draws,
+    # and abort at the same count, as the draw-by-draw loop
+    design = random_cosine_design(n, RngStream(seed, 0).generator(),
+                                  n_instruments=n_instruments)
+    try:
+        samples, retries = _sequential_boot(design, H0_PROJECTOR, n_boot,
+                                            RngStream(seed, 1).generator())
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+            boot_quantile(design, H0_PROJECTOR, n_boot, 0.05, RngStream(seed, 1))
+        return
+    run = boot_quantile(design, H0_PROJECTOR, n_boot, 0.05, RngStream(seed, 1))
+    assert retries > 0
+    assert run.n_retries == retries
+    assert np.allclose(run.t_blr_samples, samples, rtol=1e-9, atol=1e-12)
