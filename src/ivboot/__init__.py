@@ -24,11 +24,9 @@ from .identify import (
     strength_classify,
 )
 from .quasilik import (
-    FitResult,
     ScoreDecomposition,
     SingularDesignError,
     SingularNuisanceError,
-    fit,
     loglik,
     mle,
     restricted_mle,

@@ -240,20 +240,19 @@ class FscReport:
 def fsc_design_check(design: GeneralDesign) -> FscReport:
     """Evaluate the finite-sample design and identifiability conditions on a
     realized design, with a descriptive exponential-moment proxy."""
-    A = quasilik.normal_matrix(design)
     J = design.dim
-    D2 = A + design.penalty * np.eye(J)
-    vals, vecs = np.linalg.eigh(D2)
-    if vals[0] <= 0:
-        design_sup = np.inf
-        inv_sqrt = None
+    try:
+        inv_sqrt = quasilik._inv_sqrt_psd(quasilik.normal_matrix(design)
+                                          + design.penalty * np.eye(J))
+    except quasilik.SingularNuisanceError:
+        # singular to working precision: no finite design bound, no fit
+        design_sup, theta = np.inf, np.zeros(J)
     else:
-        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
         per_obs = design.eta.sum(axis=0)  # (n, J): sum over instruments
         design_sup = float(np.linalg.norm(per_obs @ inv_sqrt, axis=1).max())
+        theta = quasilik.mle(design)
     design_ok = design_sup <= 0.5
 
-    theta = quasilik.mle(design) if vals[0] > 0 else np.zeros(J)
     resid = design.zk - np.einsum("kij,j->ki", design.eta, theta)  # (K, n)
     sigma2 = (resid * resid).mean(axis=1)  # per instrument
     n = design.n_obs

@@ -28,8 +28,8 @@ CSV_HEADER = ("offset",) + TEST_NAMES
 _SAMPLE, _NULL, _CLR = 0, 1, 2
 # Replications per unit of parallel work.  Fixed, because units key the
 # sample streams; small, so that a few hundred replications still keep every
-# worker busy.  A unit's bootstrap weights (_UNIT x boot_reps x n doubles)
-# are its largest array.
+# worker busy.  A unit's bootstrap sums (_UNIT x boot_reps x 25 doubles at
+# q = 5) are its largest array.
 _UNIT = 25
 _NULL_BLOCK = 2500  # null simulations per error-draw block
 
@@ -65,6 +65,7 @@ class PowerTable:
     rows: dict
     config: SimConfig
     reps_used: int
+    blr_redraws: int = 0  # bootstrap draws redrawn over all replications
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[name]
@@ -84,6 +85,7 @@ class PowerTable:
             "counts": {t: [int(round(x * self.reps_used)) for x in self.rows[t]]
                        for t in TEST_NAMES},
             "reps_used": self.reps_used,
+            "blr_redraws": self.blr_redraws,
             "config": _config_dict(self.config),
         }
 
@@ -175,6 +177,14 @@ class _Engine:
         iu = np.triu_indices(self.z.shape[0])
         self.features = (self.z[iu[0]] * self.z[iu[1]])  # (J(J+1)/2, n)
 
+    def sum_features(self, y1, y2):
+        """F = [features' | y1 Z' | y2 Z'] per replication, shape (R, n, d)
+        with d = J(J+1)/2 + 2J (25 at J = 5): a weight vector u enters the
+        weighted profile only through its d sums F'u."""
+        R, n = y1.shape
+        return np.concatenate([np.broadcast_to(self.features.T, (R, n, self.features.shape[0])),
+                               y1[:, :, None] * self.z.T, y2[:, :, None] * self.z.T], axis=2)
+
     def quadratics(self, ZY1, ZY2):
         """q11, q12, q22 of the 2x2 profile matrix H per replication, from
         the instrument projections Z y1, Z y2 (one row per replication)."""
@@ -185,64 +195,89 @@ class _Engine:
         return q11, q12, q22
 
 
-def _weighted_profile(engine: _Engine, u, y1, y2):
-    """Weighted 2x2 profile matrices of weight rows u (R, B, n), each row
-    weighting its replication's y1, y2 (R, n), with a per-row verdict.
+def _profile_from_sums(engine: _Engine, sums):
+    """Weighted 2x2 profile matrices from sums (..., d), with a verdict per
+    row.
 
-    For one row, hb = W' G^{-1} W with G = Z diag(u) Z' and W = Z diag(u)
-    (y1, y2), so hb = A'A with A = C'^{-1} W from the Cholesky factor
-    G = C'C of ``quasilik.packed_cholesky_solve``.  The verdict says whether
-    G is positive definite.  The hb of a row that fails is finite but
-    meaningless.  Returns hb11, hb12, hb22 and the verdict, each
-    shaped (R, B).
+    The sums hold the packed upper triangle of G = Z diag(u) Z', then
+    W = Z diag(u) (y1, y2).  hb = W' G^{-1} W = A'A with A = C'^{-1} W from
+    the Cholesky factor G = C'C of ``quasilik.packed_cholesky_solve``.  The
+    verdict says whether G is positive definite.  The hb of a row that
+    fails is finite but meaningless.  Returns hb11, hb12, hb22 and the
+    verdict, each shaped sums.shape[:-1].
     """
     J = engine.config.q
-    R, B, n = u.shape
-    m = R * B
-    gram = u.reshape(m, n) @ engine.features.T  # packed upper triangle of G
-    zy = np.concatenate([y1[:, :, None] * engine.z.T, y2[:, :, None] * engine.z.T], axis=2)
-    w = np.matmul(u, zy).reshape(m, 2, J)
-    a, pd = packed_cholesky_solve(gram, w)
+    n_gram = J * (J + 1) // 2
+    flat = sums.reshape(-1, n_gram + 2 * J)
+    a, pd = packed_cholesky_solve(flat[:, :n_gram], flat[:, n_gram:].reshape(-1, 2, J))
     hb11 = np.einsum("mj,mj->m", a[:, 0], a[:, 0])
     hb12 = np.einsum("mj,mj->m", a[:, 0], a[:, 1])
     hb22 = np.einsum("mj,mj->m", a[:, 1], a[:, 1])
-    return tuple(x.reshape(R, B) for x in (hb11, hb12, hb22, pd))
+    return tuple(x.reshape(sums.shape[:-1]) for x in (hb11, hb12, hb22, pd))
+
+
+def _blr_values(engine: _Engine, sums, q11, q12, q22):
+    """Bootstrap statistics of sum rows (R, B, d), and their verdicts.
+
+    The statistic fixes beta at replication r's full-sample profile
+    maximizer (top eigenvector of its unweighted 2x2 profile matrix, from
+    q11[r], q12[r], q22[r]) and reoptimizes the nuisance coefficients under
+    the weighted objective: 2 (top eigenvalue of hb - hb at that direction).
+    """
+    _, vx, vy = _top_eigvec_2x2(q11, q12, q22)
+    hb11, hb12, hb22, pd = _profile_from_sums(engine, sums)
+    lmax_b, _, _ = _top_eigvec_2x2(hb11, hb12, hb22)
+    vxr = vx[:, None]
+    vyr = vy[:, None]
+    gb = vxr * vxr * hb11 + 2 * vxr * vyr * hb12 + vyr * vyr * hb22
+    return 2.0 * (lmax_b - gb), pd
+
+
+def _sum_law(engine: _Engine, y1, y2):
+    """The Gaussian law of each replication's sums F'u under N(1, 1)
+    weights u: mean (R, d) and factor (R, k, d) with k = min(n, d), so that
+    mean + z factor with z ~ N(0, I_k) has the law N(F'1, F'F).
+
+    With the thin QR factorization F = QR, F'u = F'1 + R'Q'(u - 1) and
+    Q'(u - 1) ~ N(0, I), so the factor is R.  R'R = F'F whatever the rank
+    of F (21 of 25 on the table designs), so no rank cutoff is needed.
+    """
+    F = engine.sum_features(y1, y2)
+    return F.sum(axis=1), np.linalg.qr(F, mode="r")
 
 
 def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen):
     """Per-replication bootstrap critical values of the profile LR statistic,
-    and the number of weight vectors redrawn.
+    and the number of draws redrawn.
 
-    The bootstrap statistic fixes beta at the full-sample profile maximizer
-    (top eigenvector of the unweighted 2x2 profile matrix) and reoptimizes
-    the nuisance coefficients under the weighted objective; the returned
-    quantile is on the same scale as the t_clr statistic, so the decision
-    t_clr > quantile is exactly the J + z*sqrt(J) threshold rule.  All
-    R x boot_reps x n weights are drawn at once, so callers pass at most
-    one unit of replications.  A draw whose weighted Gram matrix is not
-    positive definite is redrawn, in draw order, until it is; each
-    replication is one bootstrap under bootstrap.check_redraws.
+    The quantile of ``_blr_values`` is on the same scale as the t_clr
+    statistic, so the decision t_clr > quantile is exactly the
+    J + z*sqrt(J) threshold rule.  A bootstrap draw sees its N(1, 1)
+    weights only through its d sums, so the sums are drawn from their
+    exact Gaussian law (``_sum_law``): one (R, boot_reps, k) standard
+    normal block, so callers pass at most one unit of replications.  A draw
+    whose weighted Gram matrix is not positive definite is redrawn, in draw
+    order, as one (k,) normal draw until it is; each replication is one
+    bootstrap under bootstrap.check_redraws.
     """
-    R, n = y1.shape
+    R = y1.shape[0]
     B = engine.config.boot_reps
-    _, vx, vy = _top_eigvec_2x2(q11, q12, q22)
-    hb11, hb12, hb22, pd = _weighted_profile(engine, gen.normal(1.0, 1.0, (R, B, n)), y1, y2)
+    mean, factor = _sum_law(engine, y1, y2)
+    sums = np.matmul(gen.standard_normal((R, B, factor.shape[1])), factor)
+    sums += mean[:, None]
+    values, pd = _blr_values(engine, sums, q11, q12, q22)
     redraws = np.zeros(R, dtype=int)
     for r, b in zip(*np.nonzero(~pd)):
         while True:
             redraws[r] += 1
             check_redraws(redraws[r], B)
-            h11, h12, h22, ok = _weighted_profile(
-                engine, gen.normal(1.0, 1.0, (1, 1, n)), y1[r:r + 1], y2[r:r + 1])
+            sums = mean[r] + gen.standard_normal(factor.shape[1]) @ factor[r]
+            value, ok = _blr_values(engine, sums[None, None], q11[r:r + 1], q12[r:r + 1],
+                                    q22[r:r + 1])
             if ok[0, 0]:
                 break
-        hb11[r, b], hb12[r, b], hb22[r, b] = h11[0, 0], h12[0, 0], h22[0, 0]
-    lmax_b, _, _ = _top_eigvec_2x2(hb11, hb12, hb22)
-    vxr = vx[:, None]
-    vyr = vy[:, None]
-    gb = vxr * vxr * hb11 + 2 * vxr * vyr * hb12 + vyr * vyr * hb22
-    return (empirical_upper_quantile(2.0 * (lmax_b - gb), engine.config.alpha),
-            int(redraws.sum()))
+        values[r, b] = value[0, 0]
+    return empirical_upper_quantile(values, engine.config.alpha), int(redraws.sum())
 
 
 def _stream(config: SimConfig, role: int, unit: int) -> np.random.Generator:
@@ -253,8 +288,9 @@ def _sample_unit(engine: _Engine, unit: int):
     """Simulate one unit of replications at the configured truth.
 
     Returns the profile quadratics q11, q12, q22 and the bootstrap critical
-    value of each replication; none of them depends on the hypothesized
-    value, so one unit serves the whole grid.
+    value of each replication, and the unit's number of bootstrap redraws;
+    none of them depends on the hypothesized value, so one unit serves the
+    whole grid.
     """
     cfg = engine.config
     reps_here = min(_UNIT, cfg.reps - unit * _UNIT)
@@ -263,8 +299,8 @@ def _sample_unit(engine: _Engine, unit: int):
     y1 = cfg.beta_star * engine.x[None, :] + eps[:, :, 0]
     y2 = engine.x[None, :] + eps[:, :, 1]
     q11, q12, q22 = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
-    blr_crit, _ = _blr_quantiles(engine, y1, y2, q11, q12, q22, gen)
-    return q11, q12, q22, blr_crit
+    blr_crit, redraws = _blr_quantiles(engine, y1, y2, q11, q12, q22, gen)
+    return q11, q12, q22, blr_crit, redraws
 
 
 def _lr_critical(engine: _Engine, grid, law: ErrorSpec,
@@ -312,6 +348,27 @@ def oracle_lr_critical(config: SimConfig, beta0: float,
     return float(_lr_critical(_Engine(config), (beta0,), config.error, n_sims)[0])
 
 
+@functools.cache
+def _openblas_set_num_threads_local():
+    """OpenBLAS's setter of the calling thread's BLAS thread count, found
+    through numpy's own module, or None when numpy's BLAS lacks it."""
+    import ctypes
+    try:
+        fn = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+    return fn
+
+
+def _one_blas_thread():
+    """Pool initializer: the worker's BLAS calls run on one thread, so the
+    workers do not compete with OpenBLAS's own threads for the cores."""
+    set_local = _openblas_set_num_threads_local()
+    if set_local is not None:
+        set_local(1)
+
+
 def power_curve(config: SimConfig, n_threads=None, lr_oracle_error=None) -> PowerTable:
     """Rejection frequencies of all five tests over the hypothesis grid.
 
@@ -322,6 +379,7 @@ def power_curve(config: SimConfig, n_threads=None, lr_oracle_error=None) -> Powe
     a grid value depends only on the config and that value, not on the rest
     of the grid.  Every stream is keyed by (role, unit) and replication
     units have a fixed size, so results are identical for any thread count.
+    With more than one worker, each worker's BLAS runs on one thread.
     ``lr_oracle_error`` overrides the error law of the LR null simulations;
     calibrating against the nominal unit-covariance law instead of the
     configured one reproduces reference runs whose oracle ignored the
@@ -333,16 +391,18 @@ def power_curve(config: SimConfig, n_threads=None, lr_oracle_error=None) -> Powe
         n_threads = max_threads()
     law = lr_oracle_error if lr_oracle_error is not None else cfg.error
     n_units = (cfg.reps + _UNIT - 1) // _UNIT
-    with ThreadPoolExecutor(max_workers=n_threads) as ex:
+    initializer = _one_blas_thread if n_threads > 1 else None
+    with ThreadPoolExecutor(max_workers=n_threads, initializer=initializer) as ex:
         lr_fut = ex.submit(_lr_critical, engine, cfg.beta_grid, law)
         unit_futs = [ex.submit(_sample_unit, engine, u) for u in range(n_units)]
         S = _stream(cfg, _CLR, 0).standard_normal((N_CLR_SIMS, cfg.q))
-        sample = [np.concatenate(p) for p in zip(*(f.result() for f in unit_futs))]
+        *sample, redraws = zip(*(f.result() for f in unit_futs))
+        sample = [np.concatenate(p) for p in sample]
         rates = list(ex.map(functools.partial(_grid_rates, engine, sample, S),
                             cfg.beta_grid, lr_fut.result()))
     rows = {t: np.array([r[i] for r in rates]) for i, t in enumerate(TEST_NAMES)}
     return PowerTable(grid=np.array(cfg.beta_grid), rows=rows, config=cfg,
-                      reps_used=cfg.reps)
+                      reps_used=cfg.reps, blr_redraws=sum(redraws))
 
 
 def _grid_rates(engine: _Engine, sample, S: np.ndarray, v: float, lr_crit: float):

@@ -21,22 +21,6 @@ class SingularNuisanceError(ValueError):
 
 
 @dataclass(frozen=True)
-class FitResult:
-    """Full and restricted maximizers with their likelihood values."""
-
-    theta_hat: np.ndarray
-    theta_restricted: np.ndarray
-    loglik_full: float
-    loglik_restricted: float
-    d0: np.ndarray
-    projector: np.ndarray
-
-    @property
-    def t_lr(self) -> float:
-        return self.loglik_full - self.loglik_restricted
-
-
-@dataclass(frozen=True)
 class ScoreDecomposition:
     """Standardized full score, profile score, and effective Fisher matrix."""
 
@@ -209,22 +193,6 @@ def t_lr(design: GeneralDesign, projector) -> float:
         raise SingularDesignError(
             "normal matrix is singular with penalty=0; refit with penalty > 0")
     return float(value[0])
-
-
-def fit(design: GeneralDesign, projector) -> FitResult:
-    theta_hat = mle(design)
-    theta_r = restricted_mle(design, projector)
-    U1, U0 = projector_split(projector)
-    F = normal_matrix(design) + design.penalty * np.eye(design.dim)
-    d0 = _effective_fisher(F, U1, U0)
-    return FitResult(
-        theta_hat=theta_hat,
-        theta_restricted=theta_r,
-        loglik_full=loglik(design, theta_hat),
-        loglik_restricted=loglik(design, theta_r),
-        d0=d0,
-        projector=np.asarray(projector, dtype=float),
-    )
 
 
 def _inv_sqrt_psd(M: np.ndarray) -> np.ndarray:

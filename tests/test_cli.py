@@ -94,6 +94,7 @@ def test_power_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["rows"].keys() == {"LR", "BLR", "CLR", "AR", "LM"}
     assert payload["config"]["master_seed"] == 11
+    assert payload["blr_redraws"] == 0
 
 
 def test_test_subcommand_emits_all_five(tmp_path):
@@ -122,13 +123,13 @@ def test_bad_grid_exits_one(capsys):
 @pytest.mark.parametrize("argv, message", [
     # more indefinite weighted Grams than one bootstrap may redraw
     (["test", "--n", "20", "--q", "5", "--seed", "1"], "bootstrap aborted"),
-    (["test", "--n", "40", "--q", "5", "--seed", "1"], "bootstrap aborted"),
+    (["test", "--n", "30", "--q", "5", "--seed", "1"], "bootstrap aborted"),
     # q > n/2 repeats cosine rows: a singular normal matrix
     (["diagnose", "--n", "8", "--q", "5"], "need 1 <= q <= n/2, got n=8, q=5"),
     (["test", "--n", "8", "--q", "5"], "need 1 <= q <= n/2, got n=8, q=5"),
     (["power", "--n", "8", "--q", "5", "--reps", "25", "--boot-reps", "100"],
      "need 1 <= q <= n/2, got n=8, q=5"),
-], ids=["test-n20", "test-n40", "diagnose-singular", "test-singular", "power-singular"])
+], ids=["test-n20", "test-n30", "diagnose-singular", "test-singular", "power-singular"])
 def test_degenerate_runs_exit_one(capsys, argv, message):
     assert run(argv) == 1
     out, err = capsys.readouterr()
@@ -181,4 +182,5 @@ def test_reproduce_table_small_run(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["report"]["reference_id"] == 1
     assert len(payload["table"]["grid"]) == 17
+    assert payload["table"]["blr_redraws"] == 0  # n = 200: no indefinite Gram
     assert (code == 0) == payload["report"]["passed"]

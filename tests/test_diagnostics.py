@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ivboot import GeneralDesign, RngStream
+from ivboot import GeneralDesign, IvSample, RngStream, SampleTruth, cosine_design
+from ivboot.benchmark import benchmark_design
 from ivboot.diagnostics import (
     DeviationParams,
     bernstein_bound,
@@ -178,6 +179,21 @@ def test_fsc_design_trivial_cases():
     rep = fsc_design_check(d_singular)
     assert not rep.design_ok
     assert rep.design_sup == np.inf
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fsc_design_numerically_singular_benchmark_design(seed):
+    # n = 8, q = 5 repeats cosine rows: the normal matrix's smallest
+    # eigenvalue is rounding noise against its top one, so it fails the
+    # positive-definiteness rule of quasilik._inv_sqrt_psd; the check
+    # reports that instead of a finite design_sup, and never raises
+    gen = RngStream(seed, 0).generator()
+    z = cosine_design(8, 5)
+    sample = IvSample(y1=gen.standard_normal(8), y2=gen.standard_normal(8), z=z,
+                      truth=SampleTruth(beta_star=1.0, pi_star=np.ones(5)))
+    rep = fsc_design_check(benchmark_design(sample))
+    assert rep.design_sup == np.inf
+    assert not rep.design_ok
 
 
 def test_fsc_report_on_generated_design(gen):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,20 @@ def test_power_curve_thread_count_invariant():
         for name in ("LR", "BLR", "CLR", "AR", "LM"):
             assert np.array_equal(t1.column(name), t.column(name))
         assert t1.to_csv_text() == t.to_csv_text()
+
+
+def test_power_json_thread_count_invariant_with_redraw_count():
+    # at n = 40, q = 3 a few weighted Grams are indefinite: the JSON counts
+    # every unit's redraws, and is identical at any thread count
+    cfg = small_config(n=40, concentration=40 * 60.0, reps=2 * harness._UNIT + 7,
+                       boot_reps=200)
+    texts = [json.dumps(power_curve(cfg, n_threads=k).to_dict(), sort_keys=True)
+             for k in (1, 2, 3)]
+    assert texts[0] == texts[1] == texts[2]
+    engine = harness._Engine(cfg)
+    redraws = sum(harness._sample_unit(engine, u)[4] for u in range(3))
+    assert redraws > 0
+    assert json.loads(texts[0])["blr_redraws"] == redraws
 
 
 def test_power_curve_cell_depends_only_on_its_grid_value():

@@ -180,19 +180,6 @@ def test_wilks_gap_noiseless():
     assert wilks_gap(d, H0_PROJECTOR, THETA_FEASIBLE) <= 1e-10
 
 
-def test_fit_result_fields(gen):
-    from ivboot.quasilik import fit
-
-    d = random_cosine_design(40, gen, penalty=0.3)
-    res = fit(d, H0_PROJECTOR)
-    assert res.loglik_full >= res.loglik_restricted
-    assert res.t_lr == pytest.approx(t_lr(d, H0_PROJECTOR))
-    assert np.abs(H0_PROJECTOR @ res.theta_restricted).max() <= 1e-10
-    assert np.all(np.linalg.eigvalsh(res.d0) >= -1e-10)  # effective Fisher PSD
-    P = res.projector
-    assert np.linalg.norm(P @ P - P) <= 1e-10
-
-
 def test_wilks_gap_shrinks_with_n():
     def med(n, seed):
         gaps = []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy.stats import ks_2samp
 
 from ivboot import GeneralDesign, RngStream
 from ivboot.benchmark import (
@@ -26,7 +27,8 @@ from ivboot.benchmark import (
 )
 from ivboot.bootstrap import (RetryDrawError, boot_loglik, boot_quantile, check_redraws,
                               empirical_upper_quantile)
-from ivboot.harness import TABLE_SPECS, _blr_quantiles, _Engine, table_config
+from ivboot.harness import (TABLE_SPECS, _blr_quantiles, _blr_values, _Engine,
+                            _profile_from_sums, _sum_law, table_config)
 from ivboot.quasilik import (lr_features, loglik, mle, projector_split, restricted_mle, t_lr,
                              weighted_lr)
 from ivboot.simgen import ERROR_KINDS, ErrorSpec, _gen_errors_batch, gen_errors, gen_sample
@@ -79,6 +81,24 @@ def test_gen_errors_is_the_batch_of_one(seed, kind, n):
     assert np.array_equal(single, batch[0])
 
 
+def _weights_quantile(engine, y1, y2, q, block, redraw):
+    """The BLR critical value and redraw count of one replication from weight
+    vectors: each row u of ``block`` (B, n) gives the sums F'u, then the
+    profile from sums, and a rejected row is replaced in draw order by
+    redraw.normal(1, 1, n) vectors until one is accepted."""
+    F = engine.sum_features(y1, y2)
+    values, pd = _blr_values(engine, np.matmul(block[None], F), *q)
+    n_redrawn = 0
+    for b in np.flatnonzero(~pd[0]):
+        ok = [False]
+        while not ok[0]:
+            n_redrawn += 1
+            u = redraw.normal(1.0, 1.0, (1, 1, engine.config.n))
+            value, ok = _blr_values(engine, np.matmul(u, F), *q)
+        values[0, b] = value[0, 0]
+    return empirical_upper_quantile(values[0], engine.config.alpha), n_redrawn
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=seeds, kind=kinds)
 def test_blr_batch_of_one_matches_scalar_loop(seed, kind):
@@ -86,33 +106,33 @@ def test_blr_batch_of_one_matches_scalar_loop(seed, kind):
     sample = gen_sample(cfg, rng=cfg.rng())
     gen = RngStream(seed, 1).generator()
     beta_tilde, _ = profile_sup(sample)
-    loop = [ams_blr_statistic(sample, gen.normal(1.0, 1.0, cfg.n), center=beta_tilde)
-            for _ in range(cfg.boot_reps)]
+    block = gen.normal(1.0, 1.0, (cfg.boot_reps, cfg.n))
+    loop = [ams_blr_statistic(sample, u, center=beta_tilde) for u in block]
     engine, y1, y2, q = _batch_of_one(cfg, sample)
-    crit, n_retries = _blr_quantiles(engine, y1, y2, *q, RngStream(seed, 1).generator())
+    crit, n_retries = _weights_quantile(engine, y1, y2, q, block, gen)
     assert n_retries == 0
-    assert crit[0] == pytest.approx(empirical_upper_quantile(np.array(loop), cfg.alpha),
-                                    rel=1e-10)
+    assert crit == pytest.approx(empirical_upper_quantile(np.array(loop), cfg.alpha),
+                                 rel=1e-10)
 
 
 class _FirstBlock:
-    """Generator whose first normal() call returns ``block``; later calls
-    draw from ``gen``."""
+    """Generator whose first standard_normal() call returns ``block``; later
+    calls draw from ``gen``."""
 
     def __init__(self, block, gen):
         self.block, self.gen = block, gen
 
-    def normal(self, loc, scale, size):
+    def standard_normal(self, size):
         if self.block is None:
-            return self.gen.normal(loc, scale, size)
+            return self.gen.standard_normal(size)
         block, self.block = self.block, None
         return block
 
 
 @pytest.mark.parametrize("n_bad, reps", [(1, 1), (2, 1), (3, 1), (3, 2)])
 def test_blr_redraws_are_counted(n_bad, reps):
-    # each replication is one bootstrap of 200 draws, which may redraw 2
-    # weight vectors; a third aborts, also in a unit of 2 x 200 draws
+    # each replication is one bootstrap of 200 draws, which may redraw 2;
+    # a third aborts, also in a unit of 2 x 200 draws
     cfg = _config(3, "gauss", boot_reps=200)
     engine = _Engine(cfg)
     samples = [gen_sample(cfg, rng=cfg.rng(r)) for r in range(reps)]
@@ -120,9 +140,11 @@ def test_blr_redraws_are_counted(n_bad, reps):
     y2 = np.stack([s.y2 for s in samples])
     q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
     gen = np.random.default_rng(5)
-    block = gen.normal(1.0, 1.0, (reps, cfg.boot_reps, cfg.n))
-    # all-negative weights make the weighted Gram matrix negative definite
-    block[-1, 17:17 + n_bad] = -np.abs(block[-1, 17:17 + n_bad])
+    block = gen.standard_normal((reps, cfg.boot_reps, 25))
+    # with F = QR, the normal draw -2 Q'1 gives the sums of the weights u = -1:
+    # the weighted Gram matrix -Z Z' is negative definite
+    Q, _ = np.linalg.qr(engine.sum_features(y1[-1:], y2[-1:])[0])
+    block[-1, 17:17 + n_bad] = -2.0 * Q.sum(axis=0)
     if n_bad > 2:
         with pytest.raises(RuntimeError, match="too many indefinite"):
             _blr_quantiles(engine, y1, y2, *q, _FirstBlock(block, gen))
@@ -150,12 +172,12 @@ def test_blr_redraws_every_indefinite_gram():
         elif bad is None and np.all(np.diag(W.T @ np.linalg.solve(G, W)) >= 0):
             bad = u
     block = np.array(rows[:cfg.boot_reps - 1])
-    block = np.insert(block, 17, bad, axis=0)[None]
+    block = np.insert(block, 17, bad, axis=0)
 
     redraw = np.random.default_rng(12)
     beta_tilde, _ = profile_sup(sample)
     loop, n_redrawn = [], 0
-    for u in block[0]:
+    for u in block:
         while True:
             try:
                 loop.append(ams_blr_statistic(sample, u, center=beta_tilde))
@@ -164,12 +186,67 @@ def test_blr_redraws_every_indefinite_gram():
                 n_redrawn += 1
                 u = redraw.normal(1.0, 1.0, cfg.n)
     engine, y1, y2, q = _batch_of_one(cfg, sample)
-    crit, n_retries = _blr_quantiles(engine, y1, y2, *q,
-                                     _FirstBlock(block, np.random.default_rng(12)))
+    crit, n_retries = _weights_quantile(engine, y1, y2, q, block, np.random.default_rng(12))
     assert n_redrawn >= 1
     assert n_retries == n_redrawn
-    assert crit[0] == pytest.approx(empirical_upper_quantile(np.array(loop), cfg.alpha),
-                                    rel=1e-10)
+    assert crit == pytest.approx(empirical_upper_quantile(np.array(loop), cfg.alpha),
+                                 rel=1e-10)
+
+
+def _drawn_and_weighted(cfg, reps, n_draws, seed):
+    """``reps`` replications of cfg's table-1 model, and for each the sums F'u
+    of n_draws weight vectors u and n_draws sums drawn from their Gaussian
+    law, with independent streams."""
+    engine = _Engine(cfg)
+    eps = _gen_errors_batch(cfg.error, cfg.n, reps, RngStream(seed, 0).generator())
+    y1 = cfg.beta_star * engine.x[None, :] + eps[:, :, 0]
+    y2 = engine.x[None, :] + eps[:, :, 1]
+    u = RngStream(seed, 1).generator().normal(1.0, 1.0, (reps, n_draws, cfg.n))
+    weighted = np.matmul(u, engine.sum_features(y1, y2))
+    mean, factor = _sum_law(engine, y1, y2)
+    z = RngStream(seed, 2).generator().standard_normal((reps, n_draws, factor.shape[1]))
+    drawn = mean[:, None] + np.matmul(z, factor)
+    return engine, y1, y2, weighted, drawn
+
+
+def test_drawn_sums_have_the_law_of_weighted_sums():
+    # the Gaussian law of the drawn sums has the mean F'1 and covariance
+    # F'F of the sums F'u; per replication, two-sample KS tests compare the
+    # drawn path with the n-vector path on the bootstrap statistic and on
+    # one fixed linear combination of the 25 sums
+    cfg = table_config(1, reps=8, boot_reps=1000)
+    engine, y1, y2, weighted, drawn = _drawn_and_weighted(cfg, 8, 5000, 7)
+    F = engine.sum_features(y1, y2)
+    mean, factor = _sum_law(engine, y1, y2)
+    cov = np.matmul(F.transpose(0, 2, 1), F)
+    assert np.allclose(mean, F.sum(axis=1), rtol=0, atol=1e-12 * np.abs(F).sum())
+    assert np.allclose(np.matmul(factor.transpose(0, 2, 1), factor), cov,
+                       rtol=0, atol=1e-12 * np.abs(cov).max())
+    q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+    t_weighted, pd_weighted = _blr_values(engine, weighted, *q)
+    t_drawn, pd_drawn = _blr_values(engine, drawn, *q)
+    assert pd_weighted.all() and pd_drawn.all()
+    direction = RngStream(7, 3).generator().standard_normal(25)
+    p_values = []
+    for r in range(8):
+        p_values.append(ks_2samp(t_weighted[r], t_drawn[r]).pvalue)
+        p_values.append(ks_2samp(weighted[r] @ direction, drawn[r] @ direction).pvalue)
+    # 16 tests: under the null, all exceed 1e-3 with probability 0.98
+    assert min(p_values) > 1e-3
+
+
+def test_drawn_sums_redraw_as_often_as_weighted_sums():
+    # at n = 30, q = 5 about 4% of N(1, 1) weight vectors give an indefinite
+    # weighted Gram matrix; drawing the sums must reject as often
+    cfg = dataclasses.replace(table_config(1, reps=1, boot_reps=1000), n=30,
+                              concentration=30 * TABLE_SPECS[1]["lam"])
+    n_draws = 50_000
+    engine, _, _, weighted, drawn = _drawn_and_weighted(cfg, 1, n_draws, 11)
+    rate_weighted = 1.0 - _profile_from_sums(engine, weighted)[3].mean()
+    rate_drawn = 1.0 - _profile_from_sums(engine, drawn)[3].mean()
+    sd = np.sqrt(2.0 * rate_weighted * (1.0 - rate_weighted) / n_draws)
+    assert 0.03 < rate_weighted < 0.05
+    assert abs(rate_drawn - rate_weighted) < 4.0 * sd
 
 
 def reference_maxima(design, u, projector, theta_tilde):
