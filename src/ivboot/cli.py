@@ -133,11 +133,11 @@ def run_all_tests_once(config: SimConfig, beta0: float) -> list:
 
     ar = benchmark.ar_from(ss, config.q)
     ar_crit = benchmark.chi2_ppf(1 - config.alpha, config.q) / config.q
-    outcomes.append(TestOutcome("AR", ar, float(ar_crit), ar > ar_crit, {}))
+    outcomes.append(TestOutcome("AR", ar, ar_crit, ar > ar_crit, {}))
 
     lm = benchmark.lm_from(tt, st)
     lm_crit = benchmark.chi2_ppf(1 - config.alpha, 1)
-    outcomes.append(TestOutcome("LM", lm, float(lm_crit), lm > lm_crit, {}))
+    outcomes.append(TestOutcome("LM", lm, lm_crit, lm > lm_crit, {}))
     return outcomes
 
 

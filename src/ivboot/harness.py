@@ -398,16 +398,20 @@ def power_curve(config: SimConfig, n_threads=None, lr_oracle_error=None) -> Powe
         S = _stream(cfg, _CLR, 0).standard_normal((N_CLR_SIMS, cfg.q))
         *sample, redraws = zip(*(f.result() for f in unit_futs))
         sample = [np.concatenate(p) for p in sample]
-        rates = list(ex.map(functools.partial(_grid_rates, engine, sample, S),
+        ar_crit = chi2_ppf(1 - cfg.alpha, cfg.q) / cfg.q
+        lm_crit = chi2_ppf(1 - cfg.alpha, 1)
+        rates = list(ex.map(functools.partial(_grid_rates, engine, sample, S, ar_crit, lm_crit),
                             cfg.beta_grid, lr_fut.result()))
     rows = {t: np.array([r[i] for r in rates]) for i, t in enumerate(TEST_NAMES)}
     return PowerTable(grid=np.array(cfg.beta_grid), rows=rows, config=cfg,
                       reps_used=cfg.reps, blr_redraws=sum(redraws))
 
 
-def _grid_rates(engine: _Engine, sample, S: np.ndarray, v: float, lr_crit: float):
+def _grid_rates(engine: _Engine, sample, S: np.ndarray, ar_crit: float, lm_crit: float,
+                v: float, lr_crit: float):
     """Rejection rates of the five tests of H0: beta = v, in TEST_NAMES
-    order, on the shared samples (q11, q12, q22, blr_crit) of power_curve."""
+    order, on the shared samples (q11, q12, q22, blr_crit) of power_curve,
+    with the AR and LM critical values of the curve."""
     cfg = engine.config
     q11, q12, q22, blr_crit = sample
     ss, tt, st = st_quadratics(q11, q12, q22, v)
@@ -415,8 +419,8 @@ def _grid_rates(engine: _Engine, sample, S: np.ndarray, v: float, lr_crit: float
     return (np.mean(tclr > lr_crit),
             np.mean(tclr > blr_crit),
             np.mean(tclr > _clr_critical_curve(S, tt, cfg.alpha)),
-            np.mean(ar_from(ss, cfg.q) > chi2_ppf(1 - cfg.alpha, cfg.q) / cfg.q),
-            np.mean(lm_from(tt, st) > chi2_ppf(1 - cfg.alpha, 1)))
+            np.mean(ar_from(ss, cfg.q) > ar_crit),
+            np.mean(lm_from(tt, st) > lm_crit))
 
 
 def compare_to_reference(table: PowerTable, reference_id: int) -> ComparisonReport:

@@ -1,10 +1,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ivboot
 from ivboot.cli import run
 
 
@@ -184,3 +187,27 @@ def test_reproduce_table_small_run(tmp_path):
     assert len(payload["table"]["grid"]) == 17
     assert payload["table"]["blr_redraws"] == 0  # n = 200: no indefinite Gram
     assert (code == 0) == payload["report"]["passed"]
+
+
+def test_no_scipy_at_run_time(tmp_path):
+    # scipy is a test dependency only: importing ivboot and running each
+    # subcommand must not load it.  A fresh interpreter, since this test
+    # process has scipy loaded already.
+    script = f"""
+import sys
+import ivboot
+from ivboot.cli import run
+out = {str(tmp_path)!r} + "/out"
+assert run(["test", "--beta0", "1.0", "--out", out]) == 0
+assert run(["power", "--reps", "30", "--boot-reps", "100", "--out", out]) == 0
+assert run(["diagnose", "--out", out]) == 0
+assert run(["reproduce-table", "--table", "2", "--reps", "25", "--boot-reps", "100",
+            "--format", "json", "--out", out]) in (0, 2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ivboot.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
