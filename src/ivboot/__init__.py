@@ -8,7 +8,6 @@ from .basis import (
     IvSample,
     RngStream,
     SampleTruth,
-    build_general_design,
     cosine_design,
 )
 from .identify import (

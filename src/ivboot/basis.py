@@ -133,38 +133,3 @@ def cosine_design(n: int, n_basis: int) -> np.ndarray:
     j = np.arange(1, n_basis + 1)
     return np.cos(2.0 * np.pi * np.outer(j, i) / n)
 
-
-def build_general_design(instruments, basis_values, responses, delta=None,
-                         penalty: float = 0.0) -> GeneralDesign:
-    """Assemble a GeneralDesign from per-observation pieces.
-
-    Parameters
-    ----------
-    instruments : (K, n) array
-        Observed instrument values W^k_i.
-    basis_values : (J, n) array
-        Basis evaluations psi_j(X_i).
-    responses : (n,) array
-        Outcomes Y_i.
-    delta : (K,) array, optional
-        Bias terms subtracted from the instrument-weighted responses;
-        defaults to zero (the parametric case).
-    penalty : float
-        Ridge weight, >= 0.
-    """
-    W = np.atleast_2d(np.asarray(instruments, dtype=float))
-    psi = np.asarray(basis_values, dtype=float)
-    y = np.asarray(responses, dtype=float)
-    K, n = W.shape
-    if psi.ndim != 2 or psi.shape[1] != n:
-        raise ValueError(f"basis_values must be (J, {n}), got {psi.shape}")
-    if y.shape != (n,):
-        raise ValueError(f"responses must be ({n},), got {y.shape}")
-    if delta is None:
-        delta = np.zeros(K)
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (K,):
-        raise ValueError(f"delta must be ({K},), got {delta.shape}")
-    eta = W[:, :, None] * psi.T[None, :, :]
-    zk = W * y[None, :] - delta[:, None]
-    return GeneralDesign(eta=eta, zk=zk, penalty=penalty)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import GeneralDesign, IvSample, as_generator
 from .bootstrap import RetryDrawError, empirical_upper_quantile
-from .quasilik import _inv_sqrt_psd
+from .quasilik import SingularNuisanceError, _inv_sqrt_psd, positive_definite
 
 
 @dataclass(frozen=True)
@@ -197,14 +197,16 @@ def clr_critical(t_norm2: float, n_instruments: int, alpha: float,
 
 
 def _profile_quadratics(sample: IvSample, weights: Optional[np.ndarray]):
-    """Scalar pieces of the weighted profile likelihood, and the eigenvalues
-    of the weighted instrument Gram matrix G_u.
+    """The 2x2 matrix M and the scalar C_u of the (weighted) profile
+    likelihood.
 
     For fixed beta the nuisance coefficients solve a weighted least-squares
     problem; profiling them out leaves
-        value(beta) = -0.5 * (c_u - d' M d / d'd),  d = (beta, 1),
-    with M = W' G_u^{-1} W.  Weights whose G_u is not positive definite,
-    and not all zero, have no weighted maximizer: that raises RetryDrawError.
+        value(beta) = -0.5 * (C_u - d' M d / d'd),  d = (beta, 1),
+    with M = W' G_u^{-1} W, G_u = Z diag(u) Z' and W = Z diag(u) (y1, y2).
+    A G_u that fails ``quasilik.positive_definite`` has no maximizer: that
+    raises RetryDrawError for weights, so the caller can redraw, and
+    SingularNuisanceError for the unweighted sample.
     """
     z = sample.z
     y = np.stack([sample.y1, sample.y2], axis=1)  # (n, 2)
@@ -215,21 +217,11 @@ def _profile_quadratics(sample: IvSample, weights: Optional[np.ndarray]):
     G_u = (z * u[None, :]) @ z.T  # (J, J)
     W = (z * u[None, :]) @ y  # (J, 2): columns pair with d
     C_u = float(np.einsum("ni,ni,n->", y, y, u))
-    vals = np.linalg.eigvalsh(G_u)
-    if weights is not None and vals[0] <= 0 and not np.allclose(vals, 0.0):
+    if not positive_definite(G_u):
+        if weights is None:
+            raise SingularNuisanceError("instrument Gram matrix is not positive definite")
         raise RetryDrawError("weighted instrument Gram matrix is not positive definite")
-    return G_u, W, C_u, vals
-
-
-def _profile_value_terms(G_u, W, ridge: float = 0.0):
-    """M = W' G_u^{-1} W (2x2), with a ridge fallback for singular G_u."""
-    J = G_u.shape[0]
-    M_try = G_u if ridge == 0.0 else G_u + ridge * np.eye(J)
-    try:
-        sol = np.linalg.solve(M_try, W)
-    except np.linalg.LinAlgError:
-        raise RetryDrawError("weighted instrument Gram matrix is singular") from None
-    return W.T @ sol
+    return W.T @ np.linalg.solve(G_u, W), C_u
 
 
 def ams_profile_loglik(sample: IvSample, beta: float,
@@ -238,20 +230,13 @@ def ams_profile_loglik(sample: IvSample, beta: float,
 
     The coefficient vector is profiled out at its weighted least-squares
     solution for fixed beta; the returned value omits the constant
-    normalization, so noiseless data give exactly zero.  A nearly singular
-    Gram matrix falls back to a small ridge; weights whose Gram matrix is
-    not positive definite raise RetryDrawError; all-zero weights yield 0.
-    An infinite beta gives the limit of the profile as |beta| grows.
+    normalization, so noiseless data give exactly zero.  A Gram matrix that
+    is not positive definite raises (see _profile_quadratics).  An infinite
+    beta gives the limit of the profile as |beta| grows.
     """
-    G_u, W, C_u, vals = _profile_quadratics(sample, weights)
-    if np.allclose(vals, 0.0):
-        return 0.0
-    ridge = 0.0
-    if vals[0] <= 1e-12 * max(vals[-1], 1.0):
-        ridge = 1e-10 * float(np.trace(G_u))
+    M, C_u = _profile_quadratics(sample, weights)
     # beta = +-inf is the limit along the direction d = (1, 0)
     d = np.array([1.0, 0.0]) if np.isinf(beta) else np.array([beta, 1.0])
-    M = _profile_value_terms(G_u, W, ridge)
     return -0.5 * (C_u - float(d @ M @ d) / float(d @ d))
 
 
@@ -287,10 +272,7 @@ def profile_sup(sample: IvSample, weights: Optional[np.ndarray] = None):
     _sup_profile_g); beta_max is inf when the supremum is only approached
     as beta grows without bound.
     """
-    G_u, W, C_u, vals = _profile_quadratics(sample, weights)
-    if np.allclose(vals, 0.0):
-        return 0.0, 0.0
-    M = _profile_value_terms(G_u, W)
+    M, C_u = _profile_quadratics(sample, weights)
     beta_max, gmax = _sup_profile_g(M)
     return beta_max, -0.5 * (C_u - gmax)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -270,14 +271,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Entry point; returns the process exit code (0 ok, 1 usage/validation
-    error, 2 failed table comparison)."""
+    error, 2 failed table comparison, 141 stdout closed by its reader)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return 0 if exc.code == 0 else 1
     try:
-        return args.command(args)
+        code = args.command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone, as with `| head`: end quietly, as a process
+        # killed by SIGPIPE would, and let the exit-time flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError, BootstrapAbortError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

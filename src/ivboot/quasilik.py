@@ -71,12 +71,9 @@ def mle(design: GeneralDesign) -> np.ndarray:
     """Exact maximizer (A + penalty*I)^{-1} sum eta z."""
     A = normal_matrix(design)
     M = A + design.penalty * np.eye(design.dim)
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
+    if not positive_definite(M):
         raise SingularDesignError(
-            "normal matrix is singular with penalty=0; refit with penalty > 0"
-        ) from None
+            "normal matrix is singular with penalty=0; refit with penalty > 0")
     return np.linalg.solve(M, score_vector_rhs(design))
 
 
@@ -102,14 +99,15 @@ def restricted_mle(design: GeneralDesign, projector) -> np.ndarray:
         return np.zeros(design.dim)
     A = normal_matrix(design)
     M = U0.T @ (A + design.penalty * np.eye(design.dim)) @ U0
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
+    if not positive_definite(M):
         raise SingularDesignError(
-            "restricted normal matrix is singular with penalty=0; refit with penalty > 0"
-        ) from None
+            "restricted normal matrix is singular with penalty=0; refit with penalty > 0")
     gamma = np.linalg.solve(M, U0.T @ score_vector_rhs(design))
     return U0 @ gamma
+
+
+# Relative pivot floor of the one positive-definiteness rule.
+PD_RTOL = 1e-12
 
 
 def packed_cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
@@ -119,7 +117,11 @@ def packed_cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
     by row (numpy.triu_indices order) and ``rhs`` is (m, c, J).  G = C'C is
     factored by a J-step loop vectorized over the m rows.  Returns
     A = C'^{-1} rhs, shaped (m, c, J), and the verdict: every pivot of the
-    factorization is positive.  The A of a row that fails is finite but
+    factorization exceeds PD_RTOL times G's own diagonal entry.  This is
+    the package's one rule for "G is positive definite".  It is unchanged
+    by G -> DGD for a positive diagonal D, so the units of the variables do
+    not matter; a zero or negative diagonal entry fails, since no pivot
+    exceeds its diagonal entry.  The A of a row that fails is finite but
     meaningless.
     """
     m, c, J = rhs.shape
@@ -134,11 +136,19 @@ def packed_cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
             cik = crow[i][:, k - i, None]
             g = g - cik * crow[i][:, k - i:]
             wk = wk - cik * a[:, :, i]
-        pd &= g[:, 0] > 0
+        pd &= g[:, 0] > PD_RTOL * gram[:, start]
         piv = np.sqrt(np.where(pd, g[:, 0], 1.0))[:, None]
         crow.append(g / piv)
         a[:, :, k] = wk / piv
     return a, pd
+
+
+def positive_definite(M) -> bool:
+    """Whether the symmetric matrix M passes ``packed_cholesky_solve``'s rule:
+    its batch of one, on M's upper triangle."""
+    M = np.asarray(M, dtype=float)
+    J = len(M)
+    return bool(packed_cholesky_solve(M[np.triu_indices(J)][None], np.zeros((1, 1, J)))[1][0])
 
 
 def lr_features(design: GeneralDesign, projector, theta_ref) -> tuple[np.ndarray, int]:
@@ -197,23 +207,19 @@ def t_lr(design: GeneralDesign, projector) -> float:
 
 def _inv_sqrt_psd(M: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root of a positive definite matrix; raises
-    for a matrix that is not, or is singular to working precision."""
+    for a matrix that is not, or is singular to working precision.
+
+    The guard, smallest eigenvalue > 1e-12 times the largest, protects the
+    accuracy of the eigendecomposition's root.  It implies the rule of
+    ``positive_definite``: each Cholesky pivot is at least the smallest
+    eigenvalue, and each diagonal entry at most the largest.  So, up to
+    rounding, a matrix this function accepts passes every later
+    factorization of the package.
+    """
     vals, vecs = np.linalg.eigh(M)
     if vals.size and vals[0] <= 1e-12 * max(vals[-1], 0.0):
         raise SingularNuisanceError("matrix is not positive definite")
     return (vecs / np.sqrt(vals)) @ vecs.T
-
-
-def _effective_fisher(F, U1, U0) -> np.ndarray:
-    F11 = U1.T @ F @ U1
-    if U0.shape[1] == 0:
-        return F11
-    F10 = U1.T @ F @ U0
-    F00 = U0.T @ F @ U0
-    vals = np.linalg.eigvalsh(F00)
-    if vals[0] <= 1e-12 * max(vals[-1], 1.0):
-        raise SingularNuisanceError("nuisance block of the Fisher matrix is singular")
-    return F11 - F10 @ np.linalg.solve(F00, F10.T)
 
 
 def score_from_parts(gradient, fisher, projector) -> ScoreDecomposition:
@@ -223,7 +229,8 @@ def score_from_parts(gradient, fisher, projector) -> ScoreDecomposition:
     gradient through the Fisher cross block and standardizes by the inverse
     square root of the effective (Schur-complement) Fisher matrix.  For an
     exactly quadratic objective expanded at a feasible point these pieces
-    satisfy 2 * T_LR = ||xi_s||^2 identically.
+    satisfy 2 * T_LR = ||xi_s||^2 identically.  A nuisance block that fails
+    ``positive_definite`` raises SingularNuisanceError.
     """
     g = np.asarray(gradient, dtype=float)
     F = np.asarray(fisher, dtype=float)
@@ -231,16 +238,17 @@ def score_from_parts(gradient, fisher, projector) -> ScoreDecomposition:
     xi = _inv_sqrt_psd(F) @ g
     if U1.shape[1] == 0:
         return ScoreDecomposition(xi=xi, xi_s=np.zeros(0), fisher_eff=np.zeros((0, 0)))
+    d0 = U1.T @ F @ U1
     g1 = U1.T @ g
-    d0 = _effective_fisher(F, U1, U0)
-    if U0.shape[1] == 0:
-        xi_s = _inv_sqrt_psd(d0) @ g1
-        return ScoreDecomposition(xi=xi, xi_s=xi_s, fisher_eff=d0)
-    F10 = U1.T @ F @ U0
-    F00 = U0.T @ F @ U0
-    g0 = U0.T @ g
-    xi_s = _inv_sqrt_psd(d0) @ (g1 - F10 @ np.linalg.solve(F00, g0))
-    return ScoreDecomposition(xi=xi, xi_s=xi_s, fisher_eff=d0)
+    if U0.shape[1]:
+        F10 = U1.T @ F @ U0
+        F00 = U0.T @ F @ U0
+        if not positive_definite(F00):
+            raise SingularNuisanceError("nuisance block of the Fisher matrix is singular")
+        sol = np.linalg.solve(F00, np.column_stack([F10.T, U0.T @ g]))
+        d0 = d0 - F10 @ sol[:, :-1]
+        g1 = g1 - F10 @ sol[:, -1]
+    return ScoreDecomposition(xi=xi, xi_s=_inv_sqrt_psd(d0) @ g1, fisher_eff=d0)
 
 
 def score_decomposition(design: GeneralDesign, theta_star, projector,

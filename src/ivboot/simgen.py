@@ -36,10 +36,6 @@ class ErrorSpec:
             raise ValueError("omega must be positive definite")
         object.__setattr__(self, "omega", om)
 
-    @property
-    def rho(self) -> float:
-        return float(self.omega[0, 1] / np.sqrt(self.omega[0, 0] * self.omega[1, 1]))
-
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivboot import GeneralDesign, IvSample, RngStream, build_general_design, cosine_design
+from ivboot import GeneralDesign, IvSample, RngStream, cosine_design
 
 
 def test_cosine_design_first_entry():
@@ -34,38 +34,6 @@ def test_cosine_design_rejects_degenerate():
         cosine_design(0, 3)
     with pytest.raises(ValueError):
         cosine_design(10, 0)
-
-
-def test_build_general_design_unit_instruments():
-    psi = cosine_design(6, 2)
-    y = np.arange(6.0)
-    d = build_general_design(np.ones((1, 6)), psi, y)
-    assert np.allclose(d.eta[0], psi.T)
-    assert np.allclose(d.zk[0], y)
-
-
-def test_build_general_design_exact_centering():
-    W = np.full((2, 4), 3.0)
-    y = np.full(4, 2.0)
-    delta = np.full(2, 6.0)  # delta_k = W * Y exactly
-    d = build_general_design(W, np.ones((1, 4)), y, delta=delta)
-    assert np.allclose(d.zk, 0.0)
-
-
-def test_build_general_design_direct_product():
-    W = np.array([[2.0, 3.0]])
-    psi = np.ones((1, 2))
-    y = np.ones(2)
-    d = build_general_design(W, psi, y)
-    assert np.allclose(d.eta[0], [[2.0], [3.0]])
-    assert np.allclose(d.zk[0], [2.0, 3.0])
-
-
-def test_build_general_design_dimension_mismatch():
-    with pytest.raises(ValueError):
-        build_general_design(np.ones((1, 4)), np.ones((2, 5)), np.ones(4))
-    with pytest.raises(ValueError):
-        build_general_design(np.ones((1, 4)), np.ones((2, 4)), np.ones(4), delta=np.ones(3))
 
 
 def test_general_design_validation():

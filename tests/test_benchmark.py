@@ -20,7 +20,9 @@ from ivboot.benchmark import (
     t_clr,
     t_lm,
 )
-from ivboot.harness import table_config
+from ivboot.bootstrap import RetryDrawError
+from ivboot.harness import _Engine, _profile_from_sums, table_config
+from ivboot.quasilik import SingularNuisanceError
 from ivboot.simgen import gen_sample
 
 
@@ -154,8 +156,38 @@ def test_profile_noiseless_recovery():
 
 
 def test_profile_zero_weights_fallback():
+    # all-zero weights leave no weighted maximizer: the scalar BLR reference
+    # redraws them, as the batched kernel does
     s = make_sample()
-    assert ams_profile_loglik(s, 1.0, weights=np.zeros(s.n_obs)) == 0.0
+    with pytest.raises(RetryDrawError):
+        ams_blr_statistic(s, np.zeros(s.n_obs))
+    engine = _Engine(SimConfig(n=s.n_obs, q=s.n_instruments))
+    sums = np.zeros((1, engine.features.shape[0] + 2 * s.n_instruments))
+    assert not _profile_from_sums(engine, sums)[3][0]
+
+
+def test_profile_is_invariant_to_instrument_units():
+    # the Gram matrix of z * 1e-6 has eigenvalues near 1e-10: the profile
+    # statistics must not mistake it for zero
+    cfg = table_config(1, master_seed=3)
+    s = gen_sample(cfg, rng=cfg.rng())
+    small = IvSample(y1=s.y1, y2=s.y2, z=s.z * 1e-6)
+    expected = t_clr(st_vectors(s, 1.0))
+    assert t_clr(st_vectors(small, 1.0)) == pytest.approx(expected, rel=1e-9)
+    assert ams_lr_statistic(small, 1.0) == pytest.approx(expected, rel=1e-8)
+    assert profile_sup(small)[1] == pytest.approx(profile_sup(s)[1], rel=1e-9)
+
+
+def test_profile_rejects_singular_gram_like_st_vectors():
+    # n = 8, q = 5: cosine row 5 repeats row 3, so Z Z' is singular
+    gen = RngStream(8, 0).generator()
+    s = IvSample(y1=gen.standard_normal(8), y2=gen.standard_normal(8), z=cosine_design(8, 5))
+    with pytest.raises(SingularNuisanceError):
+        st_vectors(s, 1.0)
+    with pytest.raises(SingularNuisanceError):
+        ams_lr_statistic(s, 1.0)
+    with pytest.raises(SingularNuisanceError):
+        ams_profile_loglik(s, 1.0)
 
 
 def test_lr_statistic_equals_t_clr(gen):

@@ -118,6 +118,21 @@ def test_missing_config_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_closed_stdout_exits_141_quietly():
+    # `ivboot simulate ... | head -c 10`: the reader leaves early; that is
+    # no usage error, and the exit-time flush must not complain either
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ivboot.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "ivboot.cli", "simulate", "--n", "20000",
+                             "--q", "5", "--format", "json"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def test_bad_grid_exits_one(capsys):
     assert run(["power", "--grid", "oops"] + POWER) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.optimize import minimize
 
-from ivboot import GeneralDesign, RngStream, SingularDesignError, SingularNuisanceError
+from ivboot import (GeneralDesign, IvSample, RngStream, SampleTruth, SingularDesignError,
+                    SingularNuisanceError, cosine_design)
+from ivboot.benchmark import benchmark_design
 from ivboot.quasilik import (
+    _inv_sqrt_psd,
     grad_loglik,
     loglik,
     mle,
+    normal_matrix,
+    positive_definite,
     restricted_mle,
     score_decomposition,
     score_vector_rhs,
@@ -159,6 +166,76 @@ def test_score_rejects_fisher_not_positive_definite(gen, fisher):
     d = random_cosine_design(30, gen)
     with pytest.raises(SingularNuisanceError):
         score_decomposition(d, THETA_FEASIBLE, np.eye(5), expected_fisher=fisher)
+
+
+def test_score_accepts_a_small_fisher_scale(gen):
+    # F = c I is positive definite at any scale c > 0; xi and xi_s scale by
+    # c^(-1/2)
+    d = random_cosine_design(30, gen)
+    big = score_decomposition(d, THETA_FEASIBLE, H0_PROJECTOR, expected_fisher=1e-10 * np.eye(5))
+    small = score_decomposition(d, THETA_FEASIBLE, H0_PROJECTOR, expected_fisher=1e-13 * np.eye(5))
+    assert np.allclose(small.xi_s, np.sqrt(1e3) * big.xi_s, rtol=1e-12, atol=0)
+    assert np.allclose(small.fisher_eff, 1e-3 * big.fisher_eff, rtol=1e-12, atol=0)
+
+
+def _cholesky_succeeds(M):
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@hs.composite
+def symmetric_matrices(draw, log_ratio=(-3.0, 0.0)):
+    """(M, definite): M = Q diag(lam) Q' with a random orthogonal Q of size
+    J = 1-6, |lam| log-uniform over ``log_ratio`` decades below 1, and one
+    eigenvalue negated unless M is to be definite."""
+    J = draw(hs.integers(1, 6))
+    definite = draw(hs.booleans())
+    gen = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    Q, _ = np.linalg.qr(gen.standard_normal((J, J)))
+    lam = 10.0 ** gen.uniform(*log_ratio, J)
+    lam[0] = 1.0
+    if not definite:
+        lam[gen.integers(J)] *= -1.0
+    M = (Q * lam) @ Q.T
+    return 0.5 * (M + M.T), definite
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=symmetric_matrices(), seed=hs.integers(0, 2**32 - 1))
+def test_positive_definite_is_the_cholesky_verdict_in_any_units(case, seed):
+    M, definite = case
+    assert positive_definite(M) == _cholesky_succeeds(M) == definite
+    D = 10.0 ** np.random.default_rng(seed).uniform(-8.0, 8.0, len(M))
+    assert positive_definite(D[:, None] * M * D[None, :]) == definite
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=symmetric_matrices(log_ratio=(-14.0, -10.0)))
+def test_positive_definite_accepts_what_inv_sqrt_psd_accepts(case):
+    # near the guard's 1e-12 eigenvalue ratio; a pivot is never below the
+    # smallest eigenvalue, nor a diagonal entry above the largest
+    M, _ = case
+    try:
+        _inv_sqrt_psd(M)
+    except SingularNuisanceError:
+        return
+    assert positive_definite(M)
+
+
+def test_positive_definite_rejects_zero_and_singular_designs():
+    assert not positive_definite(np.zeros((3, 3)))
+    assert not positive_definite(np.diag([1.0, 0.0, 1.0]))
+    assert not positive_definite(np.diag([1.0, -1e-300]))
+    # n = 8, q = 5: cosine row 5 repeats row 3, singular to working precision
+    gen = RngStream(8, 0).generator()
+    for beta in (1.0, 1.7):
+        sample = IvSample(y1=gen.standard_normal(8), y2=gen.standard_normal(8),
+                          z=cosine_design(8, 5),
+                          truth=SampleTruth(beta_star=beta, pi_star=np.ones(5)))
+        assert not positive_definite(normal_matrix(benchmark_design(sample)))
 
 
 def test_score_norm_squared_equals_twice_t_lr(gen):

@@ -96,7 +96,6 @@ def test_error_spec_validation():
         ErrorSpec("cauchy")
     with pytest.raises(ValueError):
         ErrorSpec("gauss", omega=np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert ErrorSpec("gauss", omega=np.array([[1.0, 0.5], [0.5, 1.0]])).rho == pytest.approx(0.5)
 
 
 def test_sim_config_validation():
