@@ -5,6 +5,7 @@ likelihood that realizes the LR/BLR tests on the structural hypothesis."""
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -12,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import GeneralDesign, IvSample, as_generator
-from .bootstrap import RetryDrawError, empirical_upper_quantile
+from .basis import GeneralDesign, IvSample
+from .bootstrap import RetryDrawError
 from .quasilik import SingularNuisanceError, _inv_sqrt_psd, positive_definite
 
 
@@ -166,34 +167,82 @@ def t_ar(pair: STPair, n_instruments: Optional[int] = None) -> float:
     return ar_from(float(pair.s @ pair.s), J)
 
 
-def clr_critical_values(S: np.ndarray, taus: np.ndarray, alpha: float) -> np.ndarray:
-    """Conditional critical values of t_clr at each ||T||^2 in ``taus``.
+def _chi2_cdf(x, df):
+    """Chi-square(df) distribution function at each x > 0 of an array, with
+    F_0 = 1: one minus the finite upper-tail sum of _chi2_tail, its terms
+    taken in logs."""
+    h = 0.5 * x
+    a = 0.5 * (df % 2)
+    tail = np.frompyfunc(math.erfc, 1, 1)(np.sqrt(h)).astype(float) if df % 2 else 0.0
+    while a < 0.5 * df:
+        tail = tail + np.exp(a * np.log(h) - h - math.lgamma(a + 1.0))
+        a += 1.0
+    return 1.0 - tail
 
-    ``S`` holds null draws of the standard J-dimensional Gaussian S, one per
-    row; T is pinned at sqrt(tau) * e1, since the statistic depends on T
-    only through its norm (Andrews, Moreira & Stock 2006).  Each value is
-    the empirical_upper_quantile order statistic of the simulated t_clr.
+
+@functools.cache
+def _clr_curve(k: int, alpha: float):
+    """Degree-64 Chebyshev interpolant, in u = tau / (tau + k) on [0, 1], of
+    the exact conditional critical value of t_clr given T'T = tau.
+
+    Under H0, S ~ N(0, I_k) and t_clr <= 2c exactly when
+    (tau + c) S1^2 + c (S2^2 + ... + Sk^2) <= c (c + tau); with
+    S1^2 = c sin^2(phi) that has probability
+        int_0^{pi/2} sqrt(2c/pi) e^{-c sin^2(phi)/2} F_{k-1}((c + tau) cos^2(phi)) cos(phi) dphi
+    (Moreira 2003; Andrews, Moreira & Stock 2006), taken by 32-node
+    Gauss-Legendre on two panels split where F_{k-1}'s argument is
+    2 (k + 40), so the second panel holds its rise at large tau.  c is found
+    by bisection between the tau -> infinity and tau = 0 limits, the
+    chi-square(1) and chi-square(k) quantiles.
     """
-    ss = np.einsum("mj,mj->m", S, S)
-    s1sq = S[:, 0] ** 2
-    crit = np.empty(len(taus))
-    for j, tau in enumerate(taus):  # one cache-sized pass per tau
-        d = ss - tau
-        crit[j] = empirical_upper_quantile(d + np.sqrt(d * d + 4.0 * tau * s1sq), alpha)
-    return crit
+    from numpy.polynomial import Chebyshev, legendre
+
+    x, w = legendre.leggauss(32)
+    x, w = 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
+
+    def cdf(c, tau):
+        split = np.arccos(np.sqrt(np.minimum(1.0, 2.0 * (k + 40) / (c + tau))))[:, None]
+        phi = np.concatenate([split * x, split + (0.5 * np.pi - split) * x], axis=1)
+        wts = np.concatenate([split * w, (0.5 * np.pi - split) * w], axis=1)
+        c, tau = c[:, None], tau[:, None]
+        f = (np.sqrt(2.0 * c / np.pi) * np.exp(-0.5 * c * np.sin(phi) ** 2)
+             * _chi2_cdf((c + tau) * np.cos(phi) ** 2, k - 1) * np.cos(phi))
+        return np.sum(wts * f, axis=1)
+
+    def critical(u):
+        tau = k * u / (1.0 - u)
+        lo = np.full_like(u, chi2_ppf(1.0 - alpha, 1))
+        hi = np.full_like(u, chi2_ppf(1.0 - alpha, k))
+        while np.any(hi - lo > 1e-15 * hi):
+            mid = 0.5 * (lo + hi)
+            below = cdf(mid, tau) < 1.0 - alpha
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return lo + hi  # 2c, on the t_clr scale
+
+    return Chebyshev.interpolate(critical, 64, domain=[0.0, 1.0])
 
 
-def clr_critical(t_norm2: float, n_instruments: int, alpha: float,
-                 n_sims: int = 10000, rng=None) -> float:
-    """Conditional critical value of t_clr given ||T||^2 = t_norm2, from
-    ``n_sims`` fresh null draws (see clr_critical_values)."""
-    if t_norm2 < 0:
-        raise ValueError(f"t_norm2 must be >= 0, got {t_norm2}")
-    if n_sims < 1000:
-        raise ValueError(f"n_sims must be >= 1000, got {n_sims}")
-    gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
-    S = gen.standard_normal((n_sims, n_instruments))
-    return float(clr_critical_values(S, [t_norm2], alpha)[0])
+def clr_critical_values(taus, n_instruments: int, alpha: float) -> np.ndarray:
+    """Conditional critical values of t_clr at each ||T||^2 in ``taus``, from
+    the exact law of the statistic given T'T (see _clr_curve).  The
+    curve of each (n_instruments, alpha) is built on first use."""
+    taus = np.asarray(taus, dtype=float)
+    try:
+        k, alpha = operator.index(n_instruments), float(alpha)
+    except TypeError:
+        raise ValueError(f"n_instruments must be an integer, got {n_instruments!r}") from None
+    if k < 1 or not 0.0 < alpha < 1.0:
+        raise ValueError(f"need n_instruments >= 1 and alpha in (0, 1), "
+                         f"got {n_instruments}, {alpha}")
+    if not np.all((taus >= 0.0) & (taus < np.inf)):
+        raise ValueError("every ||T||^2 must be finite and >= 0")
+    return _clr_curve(k, alpha)(taus / (taus + k))
+
+
+def clr_critical(t_norm2: float, n_instruments: int, alpha: float) -> float:
+    """Conditional critical value of t_clr given ||T||^2 = t_norm2: the
+    batch of one of clr_critical_values."""
+    return float(clr_critical_values([t_norm2], n_instruments, alpha)[0])
 
 
 def _profile_quadratics(sample: IvSample, weights: Optional[np.ndarray]):

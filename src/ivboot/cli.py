@@ -126,9 +126,7 @@ def run_all_tests_once(config: SimConfig, beta0: float) -> list:
                                 {"n_boot": config.boot_reps, "n_retries": n_retries,
                                  "z_star_alpha": (crit - config.q) / np.sqrt(config.q)}))
 
-    clr_crit = benchmark.clr_critical(tt, config.q, config.alpha,
-                                      n_sims=harness.N_CLR_SIMS,
-                                      rng=RngStream(config.master_seed, 2))
+    clr_crit = benchmark.clr_critical(tt, config.q, config.alpha)
     outcomes.append(TestOutcome("CLR", stat, clr_crit, stat > clr_crit,
                                 {"t_norm2": tt}))
 
@@ -144,6 +142,8 @@ def run_all_tests_once(config: SimConfig, beta0: float) -> list:
 
 def _cmd_test(args) -> int:
     cfg = _load_config(args)
+    if not np.isfinite(args.beta0):
+        raise ValueError(f"beta0 must be finite, got {args.beta0}")
     outcomes = run_all_tests_once(cfg, args.beta0)
     payload = {
         "beta0": args.beta0,

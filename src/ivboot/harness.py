@@ -8,7 +8,7 @@ import csv
 import functools
 import io
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from importlib import resources
 
@@ -25,7 +25,7 @@ TEST_NAMES = ("LR", "BLR", "CLR", "AR", "LM")
 CSV_HEADER = ("offset",) + TEST_NAMES
 
 # stream roles: every stream of a power curve has the spawn key (role, unit)
-_SAMPLE, _NULL, _CLR = 0, 1, 2
+_SAMPLE, _NULL = 0, 1
 # Replications per unit of parallel work.  Fixed, because units key the
 # sample streams; small, so that a few hundred replications still keep every
 # worker busy.  A unit's bootstrap sums (_UNIT x boot_reps x 25 doubles at
@@ -34,8 +34,6 @@ _UNIT = 25
 _NULL_BLOCK = 2500  # null simulations per error-draw block
 
 N_NULL_SIMS = 10_000
-N_CLR_SIMS = 10_000
-CLR_GRID_NODES = 65
 
 # Data-generating parameters reproducing the embedded reference tables.
 # The nominal experiment descriptions (n=200, q=5, concentration ratio 4
@@ -330,13 +328,10 @@ def _lr_critical(engine: _Engine, grid, law: ErrorSpec,
     return crit
 
 
-def _clr_critical_curve(S: np.ndarray, tt_values: np.ndarray, alpha: float):
-    """Conditional critical values interpolated over a ||T||^2 grid built
-    from the observed values, with the null draws S common to all nodes."""
-    lo = max(0.0, 0.9 * float(tt_values.min()))
-    hi = 1.1 * float(tt_values.max()) + 1.0
-    nodes = np.linspace(lo, hi, CLR_GRID_NODES)
-    return np.interp(tt_values, nodes, clr_critical_values(S, nodes, alpha))
+def _clr_critical_curve(tt: np.ndarray, q: int, alpha: float) -> np.ndarray:
+    """Conditional critical value of each replication's t_clr given its
+    ||T||^2: the CLR layer of the power curve."""
+    return clr_critical_values(tt, q, alpha)
 
 
 def oracle_lr_critical(config: SimConfig, beta0: float,
@@ -369,16 +364,31 @@ def _one_blas_thread():
         set_local(1)
 
 
+@functools.cache
+def _pool(n_threads: int, pid: int) -> ThreadPoolExecutor:
+    """The worker pool of power_curve for ``n_threads`` workers, kept for the
+    life of process ``pid`` (a forked child builds its own).  A pool per
+    call would start new threads on every call, and glibc gives a thread
+    that starts while a joined worker is still exiting a new malloc arena;
+    each such arena keeps about 13 MB of freed arrays resident, so a
+    process's peak RSS would step up at random over its calls."""
+    initializer = _one_blas_thread if n_threads > 1 else None
+    return ThreadPoolExecutor(max_workers=n_threads, initializer=initializer)
+
+
 def power_curve(config: SimConfig, n_threads=None, lr_oracle_error=None) -> PowerTable:
     """Rejection frequencies of all five tests over the hypothesis grid.
 
     ``config.reps`` samples are drawn once at the configured truth, each
     with its bootstrap, and every grid value is tested on the same samples
-    (common random numbers); likewise the LR null simulations and the CLR
-    null draws are drawn once and shared by all grid values.  So the row of
-    a grid value depends only on the config and that value, not on the rest
-    of the grid.  Every stream is keyed by (role, unit) and replication
-    units have a fixed size, so results are identical for any thread count.
+    (common random numbers); likewise the LR null simulations are drawn
+    once and shared by all grid values, and each CLR critical value is a
+    function of its replication's T'T alone.  So the row of a grid value
+    depends only on the config and that value, not on the rest of the grid.
+    Every stream is keyed by (role, unit) and replication units have a
+    fixed size, so results are identical for any thread count.
+    The workers are those of ``_pool``, and the call returns only once
+    all of its tasks have ended.
     With more than one worker, each worker's BLAS runs on one thread.
     ``lr_oracle_error`` overrides the error law of the LR null simulations;
     calibrating against the nominal unit-covariance law instead of the
@@ -391,24 +401,28 @@ def power_curve(config: SimConfig, n_threads=None, lr_oracle_error=None) -> Powe
         n_threads = max_threads()
     law = lr_oracle_error if lr_oracle_error is not None else cfg.error
     n_units = (cfg.reps + _UNIT - 1) // _UNIT
-    initializer = _one_blas_thread if n_threads > 1 else None
-    with ThreadPoolExecutor(max_workers=n_threads, initializer=initializer) as ex:
-        lr_fut = ex.submit(_lr_critical, engine, cfg.beta_grid, law)
-        unit_futs = [ex.submit(_sample_unit, engine, u) for u in range(n_units)]
-        S = _stream(cfg, _CLR, 0).standard_normal((N_CLR_SIMS, cfg.q))
+    ex = _pool(n_threads, os.getpid())
+    lr_fut = ex.submit(_lr_critical, engine, cfg.beta_grid, law)
+    unit_futs = [ex.submit(_sample_unit, engine, u) for u in range(n_units)]
+    futs = [lr_fut, *unit_futs]
+    try:
         *sample, redraws = zip(*(f.result() for f in unit_futs))
         sample = [np.concatenate(p) for p in sample]
         ar_crit = chi2_ppf(1 - cfg.alpha, cfg.q) / cfg.q
         lm_crit = chi2_ppf(1 - cfg.alpha, 1)
-        rates = list(ex.map(functools.partial(_grid_rates, engine, sample, S, ar_crit, lm_crit),
-                            cfg.beta_grid, lr_fut.result()))
+        rates_fn = functools.partial(_grid_rates, engine, sample, ar_crit, lm_crit)
+        rate_futs = [ex.submit(rates_fn, v, c) for v, c in zip(cfg.beta_grid, lr_fut.result())]
+        futs += rate_futs
+        rates = [f.result() for f in rate_futs]
+    finally:
+        wait(futs)  # no task of this call outlives it
     rows = {t: np.array([r[i] for r in rates]) for i, t in enumerate(TEST_NAMES)}
     return PowerTable(grid=np.array(cfg.beta_grid), rows=rows, config=cfg,
                       reps_used=cfg.reps, blr_redraws=sum(redraws))
 
 
-def _grid_rates(engine: _Engine, sample, S: np.ndarray, ar_crit: float, lm_crit: float,
-                v: float, lr_crit: float):
+def _grid_rates(engine: _Engine, sample, ar_crit: float, lm_crit: float, v: float,
+                lr_crit: float):
     """Rejection rates of the five tests of H0: beta = v, in TEST_NAMES
     order, on the shared samples (q11, q12, q22, blr_crit) of power_curve,
     with the AR and LM critical values of the curve."""
@@ -418,7 +432,7 @@ def _grid_rates(engine: _Engine, sample, S: np.ndarray, ar_crit: float, lm_crit:
     tclr = tclr_from(ss, tt, st)
     return (np.mean(tclr > lr_crit),
             np.mean(tclr > blr_crit),
-            np.mean(tclr > _clr_critical_curve(S, tt, cfg.alpha)),
+            np.mean(tclr > _clr_critical_curve(tt, cfg.q, cfg.alpha)),
             np.mean(ar_from(ss, cfg.q) > ar_crit),
             np.mean(lm_from(tt, st) > lm_crit))
 

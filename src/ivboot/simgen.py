@@ -4,6 +4,7 @@ concentration, and the four error laws of the power study."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,11 +65,17 @@ class SimConfig:
                              f"repeats row n - j for n/2 < j < n, so Z Z' is singular)")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.boot_reps < 1:
+            raise ValueError("boot_reps must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.concentration <= 0:
-            raise ValueError("concentration must be positive")
+        if not 0.0 < self.concentration < math.inf:
+            raise ValueError(f"concentration must be finite and positive, got {self.concentration}")
+        if not math.isfinite(self.beta_star):
+            raise ValueError(f"beta_star must be finite, got {self.beta_star}")
         object.__setattr__(self, "beta_grid", tuple(float(v) for v in self.beta_grid))
+        if not all(map(math.isfinite, self.beta_grid)):
+            raise ValueError(f"beta_grid values must be finite, got {self.beta_grid}")
 
     def rng(self, stream_id: int = 0) -> RngStream:
         return RngStream(self.master_seed, stream_id)

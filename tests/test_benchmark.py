@@ -3,6 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import gammainc
 from scipy.stats import chi2
 
 from ivboot import IvSample, RngStream, SimConfig, cosine_design
@@ -14,11 +17,13 @@ from ivboot.benchmark import (
     ams_profile_loglik,
     chi2_ppf,
     clr_critical,
+    clr_critical_values,
     profile_sup,
     st_vectors,
     t_ar,
     t_clr,
     t_lm,
+    tclr_from,
 )
 from ivboot.bootstrap import RetryDrawError
 from ivboot.harness import _Engine, _profile_from_sums, table_config
@@ -118,36 +123,61 @@ def test_t_ar_rotation_invariant(gen):
     assert t_ar(p1) == pytest.approx(t_ar(p2))
 
 
-def test_clr_critical_large_tau_limit():
-    crit = clr_critical(1e6, 5, 0.05, n_sims=100_000, rng=RngStream(2, 0))
-    assert crit == pytest.approx(2 * chi2.ppf(0.95, 1), rel=0.05)
+def _clr_critical_reference(tau, k, alpha):
+    """Exact conditional critical value of t_clr by scipy quadrature, with
+    S1^2 = c s^2 in place of the library's c sin^2(phi)."""
+    if k == 1:
+        return 2 * chi2.ppf(1 - alpha, 1)
+
+    def cdf(c):
+        def f(s):
+            return (math.sqrt(2 * c / math.pi) * math.exp(-0.5 * c * s * s)
+                    * gammainc(0.5 * (k - 1), 0.5 * (c + tau) * (1 - s * s)))
+        points = [math.sqrt(max(0.0, 1 - y / (c + tau))) for y in (k - 1, 2 * (k + 40))]
+        return quad(f, 0, 1, points=points, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+
+    return 2 * brentq(lambda c: cdf(c) - (1 - alpha), 0.99 * chi2.ppf(1 - alpha, 1),
+                      1.01 * chi2.ppf(1 - alpha, k), xtol=1e-13)
 
 
-def test_clr_critical_zero_tau_limit():
-    crit = clr_critical(0.0, 5, 0.05, n_sims=100_000, rng=RngStream(2, 1))
-    assert crit == pytest.approx(2 * chi2.ppf(0.95, 5), rel=0.05)
+@pytest.mark.parametrize("k", range(1, 9))
+def test_clr_critical_values_match_quadrature_reference(k):
+    taus = [0.0, 0.3, 3.0, 20.0, 100.0, 560.0, 3000.0, 1e4]
+    for alpha in (0.01, 0.05, 0.10):
+        ref = [_clr_critical_reference(tau, k, alpha) for tau in taus]
+        np.testing.assert_allclose(clr_critical_values(taus, k, alpha), ref, rtol=0, atol=1e-9)
 
 
-def test_clr_critical_alpha_one_degenerate():
-    crit = clr_critical(3.0, 4, 1.0, n_sims=2000, rng=RngStream(2, 2))
-    assert crit >= 0.0
-    assert crit <= 1.0  # minimum of a nonnegative statistic, near zero
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
+def test_clr_critical_limits_and_monotone(k, alpha):
+    # tau = 0: t_clr = 2 S'S; tau -> infinity: t_clr -> 2 S1^2
+    assert clr_critical(0.0, k, alpha) == pytest.approx(2 * chi2_ppf(1 - alpha, k), rel=1e-12)
+    assert clr_critical(1e8, k, alpha) == pytest.approx(2 * chi2_ppf(1 - alpha, 1), rel=1e-6)
+    crit = clr_critical_values(np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 2000)]), k, alpha)
+    assert np.diff(crit).max() <= 1e-12  # at k = 1, rounding about a constant
 
 
-def test_clr_critical_is_an_order_statistic():
-    n_sims, J, tau, alpha = 5000, 4, 7.5, 0.05
-    crit = clr_critical(tau, J, alpha, n_sims=n_sims, rng=RngStream(2, 4))
-    S = RngStream(2, 4).generator().standard_normal((n_sims, J))
-    d = np.einsum("mj,mj->m", S, S) - tau
-    stats = d + np.sqrt(d * d + 4.0 * tau * S[:, 0] ** 2)
-    k = int(np.ceil((1 - alpha) * n_sims))
-    assert crit == np.sort(stats)[k - 1]
+@pytest.mark.parametrize("k, seed", [(2, 1), (5, 2)])
+def test_clr_critical_is_the_null_quantile(k, seed):
+    m, alpha = 400_000, 0.05
+    S = RngStream(seed, 0).generator().standard_normal((m, k))
+    ss = np.einsum("mj,mj->m", S, S)
+    for tau in (1.0, 20.0, 300.0):
+        stat = tclr_from(ss, tau, math.sqrt(tau) * S[:, 0])
+        rate = np.mean(stat > clr_critical(tau, k, alpha))
+        assert abs(rate - alpha) <= 4 * math.sqrt(alpha * (1 - alpha) / m)
 
 
-def test_clr_critical_monotone_in_tau():
-    taus = [0.0, 2.0, 8.0, 32.0, 128.0]
-    crits = [clr_critical(t, 5, 0.05, n_sims=40_000, rng=RngStream(2, 3)) for t in taus]
-    assert all(crits[i + 1] <= crits[i] + 1e-9 for i in range(len(crits) - 1))
+@pytest.mark.parametrize("taus, k, alpha", [
+    ([np.nan], 5, 0.05), ([-1e-9], 5, 0.05), ([np.inf], 5, 0.05),
+    ([3.0], 5, 0.0), ([3.0], 5, 1.0), ([3.0], 5, 1.5), ([3.0], 5, np.nan),
+    ([3.0], 0, 0.05), ([3.0], 2.5, 0.05),
+], ids=["tau-nan", "tau-negative", "tau-inf", "alpha-0", "alpha-1", "alpha-1.5", "alpha-nan",
+        "k-0", "k-2.5"])
+def test_clr_critical_values_reject_bad_input(taus, k, alpha):
+    with pytest.raises(ValueError):
+        clr_critical_values(taus, k, alpha)
 
 
 def test_profile_noiseless_recovery():

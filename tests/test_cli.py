@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ivboot
+from ivboot.benchmark import clr_critical
 from ivboot.cli import run
 
 
@@ -111,6 +112,9 @@ def test_test_subcommand_emits_all_five(tmp_path):
         assert np.isfinite(t["statistic"])
         assert np.isfinite(t["critical_value"])
     assert payload["tests"][1]["info"]["n_retries"] == 0
+    # the CLR critical value is the scalar API's, bit for bit
+    clr = payload["tests"][2]
+    assert clr["critical_value"] == clr_critical(clr["info"]["t_norm2"], 3, 0.05)
 
 
 def test_missing_config_exits_one(capsys):
@@ -147,7 +151,15 @@ def test_bad_grid_exits_one(capsys):
     (["test", "--n", "8", "--q", "5"], "need 1 <= q <= n/2, got n=8, q=5"),
     (["power", "--n", "8", "--q", "5", "--reps", "25", "--boot-reps", "100"],
      "need 1 <= q <= n/2, got n=8, q=5"),
-], ids=["test-n20", "test-n30", "diagnose-singular", "test-singular", "power-singular"])
+    # settings that no run can use
+    (["test", "--boot-reps", "0"], "boot_reps must be >= 1"),
+    (["power", "--boot-reps", "0", "--reps", "10"], "boot_reps must be >= 1"),
+    (["test", "--beta0", "nan"], "beta0 must be finite"),
+    (["test", "--concentration", "nan"], "concentration must be finite and positive"),
+    (["power", "--beta-star", "inf", "--reps", "10"], "beta_star must be finite"),
+], ids=["test-n20", "test-n30", "diagnose-singular", "test-singular", "power-singular",
+        "test-boot-reps-0", "power-boot-reps-0", "test-beta0-nan", "test-concentration-nan",
+        "power-beta-star-inf"])
 def test_degenerate_runs_exit_one(capsys, argv, message):
     assert run(argv) == 1
     out, err = capsys.readouterr()
@@ -207,11 +219,13 @@ def test_reproduce_table_small_run(tmp_path):
 def test_no_scipy_at_run_time(tmp_path):
     # scipy is a test dependency only: importing ivboot and running each
     # subcommand must not load it.  A fresh interpreter, since this test
-    # process has scipy loaded already.
+    # process has scipy loaded already.  The import loads no numpy.polynomial
+    # either: the CLR curves import it when they are first built.
     script = f"""
 import sys
 import ivboot
 from ivboot.cli import run
+assert not [m for m in sys.modules if m.startswith("numpy.polynomial")]
 out = {str(tmp_path)!r} + "/out"
 assert run(["test", "--beta0", "1.0", "--out", out]) == 0
 assert run(["power", "--reps", "30", "--boot-reps", "100", "--out", out]) == 0

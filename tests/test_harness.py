@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -70,6 +72,41 @@ def test_power_curve_deterministic_rerun():
     t1 = power_curve(small_config(), n_threads=2)
     t2 = power_curve(small_config(), n_threads=2)
     assert t1.to_csv_text() == t2.to_csv_text()
+
+
+def test_power_curve_reuses_its_workers(monkeypatch):
+    # one pool per thread count for the life of the process: a second call
+    # starts no thread, its units run on threads alive before it
+    workers = set()
+    sample_unit = harness._sample_unit
+
+    def recording_unit(engine, unit):
+        workers.add(threading.current_thread())
+        return sample_unit(engine, unit)
+
+    power_curve(small_config(), n_threads=2)
+    alive = set(threading.enumerate())
+    monkeypatch.setattr(harness, "_sample_unit", recording_unit)
+    power_curve(small_config(reps=4 * harness._UNIT), n_threads=2)
+    assert workers and workers <= alive
+
+
+def test_power_curve_waits_for_its_tasks_when_one_fails(monkeypatch):
+    done = []
+
+    def slow_oracle(*args):
+        time.sleep(0.2)
+        done.append(True)
+        return np.zeros(3)
+
+    def failing_unit(engine, unit):
+        raise RuntimeError("unit failed")
+
+    monkeypatch.setattr(harness, "_lr_critical", slow_oracle)
+    monkeypatch.setattr(harness, "_sample_unit", failing_unit)
+    with pytest.raises(RuntimeError, match="unit failed"):
+        power_curve(small_config(), n_threads=2)
+    assert done == [True]
 
 
 def test_power_curve_u_shape_and_signal():

@@ -16,6 +16,7 @@ from ivboot.benchmark import (
     ams_blr_statistic,
     ams_lr_statistic,
     ar_from,
+    clr_critical_values,
     lm_from,
     profile_sup,
     st_quadratics,
@@ -27,8 +28,9 @@ from ivboot.benchmark import (
 )
 from ivboot.bootstrap import (RetryDrawError, boot_loglik, boot_quantile, check_redraws,
                               empirical_upper_quantile)
-from ivboot.harness import (TABLE_SPECS, _blr_quantiles, _blr_values, _Engine,
-                            _profile_from_sums, _sum_law, table_config)
+from ivboot.harness import (TABLE_SPECS, _UNIT, _blr_quantiles, _blr_values, _Engine,
+                            _profile_from_sums, _sample_unit, _sum_law, power_curve,
+                            table_config)
 from ivboot.quasilik import (lr_features, loglik, mle, projector_split, restricted_mle, t_lr,
                              weighted_lr)
 from ivboot.simgen import ERROR_KINDS, ErrorSpec, _gen_errors_batch, gen_errors, gen_sample
@@ -69,6 +71,19 @@ def test_scalar_statistics_match_batched_formulas(seed, kind, offset):
     assert abs(ams_lr_statistic(sample, beta0) - batched) <= tol
     assert abs(t_ar(pair) - ar_from(ss, cfg.q)) <= tol
     assert abs(t_lm(pair) - lm_from(tt, st)) <= tol
+
+
+def test_power_curve_clr_column_uses_clr_critical_values():
+    # the CLR column is the rejection rate against the scalar API's critical
+    # values, recomputed from the shared quadratics of power_curve's units
+    cfg = table_config(3, reps=2 * _UNIT + 7, boot_reps=50, master_seed=3)
+    table = power_curve(cfg)
+    engine = _Engine(cfg)
+    units = [_sample_unit(engine, u)[:3] for u in range(3)]
+    q11, q12, q22 = (np.concatenate(p) for p in zip(*units))
+    for v, rate in zip(cfg.beta_grid, table.column("CLR")):
+        ss, tt, st = st_quadratics(q11, q12, q22, v)
+        assert rate == np.mean(tclr_from(ss, tt, st) > clr_critical_values(tt, cfg.q, cfg.alpha))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -108,3 +108,7 @@ def test_sim_config_validation():
         SimConfig(alpha=1.5)
     with pytest.raises(ValueError):
         SimConfig(concentration=-1.0)
+    for bad in (dict(boot_reps=0), dict(concentration=np.nan), dict(concentration=np.inf),
+                dict(beta_star=np.nan), dict(beta_grid=(1.0, np.nan)), dict(beta_grid=(-np.inf,))):
+        with pytest.raises(ValueError):
+            SimConfig(**bad)
