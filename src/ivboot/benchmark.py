@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -180,6 +181,9 @@ def _chi2_cdf(x, df):
     return 1.0 - tail
 
 
+_CLR_CURVE_LOCK = threading.Lock()  # held for a lookup: concurrent first uses build once
+
+
 @functools.cache
 def _clr_curve(k: int, alpha: float):
     """Degree-64 Chebyshev interpolant, in u = tau / (tau + k) on [0, 1], of
@@ -225,18 +229,20 @@ def _clr_curve(k: int, alpha: float):
 def clr_critical_values(taus, n_instruments: int, alpha: float) -> np.ndarray:
     """Conditional critical values of t_clr at each ||T||^2 in ``taus``, from
     the exact law of the statistic given T'T (see _clr_curve).  The
-    curve of each (n_instruments, alpha) is built on first use."""
+    curve of each (n_instruments, alpha) is built once, on first use."""
     taus = np.asarray(taus, dtype=float)
     try:
         k, alpha = operator.index(n_instruments), float(alpha)
     except TypeError:
         raise ValueError(f"n_instruments must be an integer, got {n_instruments!r}") from None
-    if k < 1 or not 0.0 < alpha < 1.0:
-        raise ValueError(f"need n_instruments >= 1 and alpha in (0, 1), "
+    if k < 1 or not 0.0 < alpha < 1.0 or 1.0 - alpha == 1.0:
+        raise ValueError(f"need n_instruments >= 1, alpha in (0, 1) and 1 - alpha < 1, "
                          f"got {n_instruments}, {alpha}")
     if not np.all((taus >= 0.0) & (taus < np.inf)):
         raise ValueError("every ||T||^2 must be finite and >= 0")
-    return _clr_curve(k, alpha)(taus / (taus + k))
+    with _CLR_CURVE_LOCK:
+        curve = _clr_curve(k, alpha)
+    return curve(taus / (taus + k))
 
 
 def clr_critical(t_norm2: float, n_instruments: int, alpha: float) -> float:

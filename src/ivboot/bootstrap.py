@@ -1,7 +1,7 @@
 """Multiplier bootstrap for the quasi log-likelihood: Gaussian N(1,1)
 weights, the weighted objective, the bootstrap likelihood-ratio statistic
-centered at the full-sample fit, empirical critical values, and the
-resulting test decision."""
+centered at the full-sample fit, empirical critical values, the test
+decision, and the draw-and-redraw kernel of every multiplier bootstrap."""
 
 from __future__ import annotations
 
@@ -80,9 +80,8 @@ def t_blr(design: GeneralDesign, weights, projector,
     """Bootstrap likelihood-ratio statistic with the hypothesis centered at
     the full-sample maximizer: sup L_boot - sup over {Pi(theta - theta_tilde) = 0}.
 
-    The batch of one of ``quasilik.weighted_lr``.  Negative weights can make
-    the weighted normal matrix indefinite; that raises RetryDrawError so the
-    caller can redraw.
+    ``quasilik.weighted_lr`` of the weights' sums.  Negative weights can make
+    the weighted normal matrix indefinite: that raises RetryDrawError.
     """
     u = np.asarray(weights, dtype=float)
     if u.shape != (design.n_obs,):
@@ -90,10 +89,10 @@ def t_blr(design: GeneralDesign, weights, projector,
     if theta_tilde is None:
         theta_tilde = quasilik.mle(design)
     features, n_null = quasilik.lr_features(design, projector, theta_tilde)
-    value, pd = quasilik.weighted_lr(design, features, n_null, u[None])
-    if not pd[0]:
+    value, pd = quasilik.weighted_lr(design, n_null, u @ features)
+    if not pd:
         raise RetryDrawError("weighted normal matrix is not positive definite")
-    return float(value[0])
+    return float(value)
 
 
 def boot_score_decomposition(design: GeneralDesign, weights, theta_ref, projector,
@@ -147,41 +146,64 @@ def empirical_upper_quantile(samples: np.ndarray, alpha: float):
     return float(q) if q.ndim == 0 else q
 
 
+def sum_law(F: np.ndarray):
+    """The law of the multiplier-bootstrap sums F'u, u ~ N(1, 1) i.i.d., for
+    features F (..., n, d): mean F'1 and the thin-QR factor R of F, with
+    min(n, d) rows.  F'u = F'1 + R'Q'(u - 1) and Q'(u - 1) ~ N(0, I), so
+    F'1 + zR with z ~ N(0, I) is N(F'1, F'F), whatever the rank of F."""
+    return F.sum(axis=-2), np.linalg.qr(F, mode="r")
+
+
+def multiplier_bootstrap(law, n_boot: int, statistic, gen: np.random.Generator):
+    """n_boot kept values (R, n_boot) of ``statistic`` for R bootstraps with
+    the sum law (mean (R, d), factor (R, k, d)) of ``sum_law``, and the
+    number of draws redrawn.  ``statistic(sums, r)`` gives the values and
+    verdicts of sum rows (R', m, d) of the bootstraps in slice r.
+
+    One (R, n_boot, k) normal block is drawn.  Then, bootstrap by bootstrap,
+    the draws with a False verdict are redrawn as one block until n_boot
+    are kept, in draw order: the normals and draws that a draw-by-draw loop
+    keeps.  Each bootstrap is one under check_redraws.
+    """
+    mean, factor = law
+    R, k = factor.shape[:2]
+    sums = np.matmul(gen.standard_normal((R, n_boot, k)), factor)
+    sums += mean[:, None]
+    values, ok = statistic(sums, slice(None))
+    n_redrawn = 0
+    for r in np.flatnonzero(~ok.all(axis=1)):
+        kept, redraws = [values[r, ok[r]]], 0
+        while need := n_boot - sum(map(len, kept)):
+            for redraws in range(redraws + 1, redraws + need + 1):
+                check_redraws(redraws, n_boot)  # one redraw at a time
+            sums = mean[r] + gen.standard_normal((need, k)) @ factor[r]
+            value, ok_r = statistic(sums[None], slice(r, r + 1))
+            kept.append(value[0, ok_r[0]])
+        values[r] = np.concatenate(kept)
+        n_redrawn += redraws
+    return values, n_redrawn
+
+
 def boot_quantile(design: GeneralDesign, projector, n_boot: int, alpha: float,
                   rng) -> BootstrapRun:
     """Draw n_boot multiplier-bootstrap statistics and locate the critical
     quantile of (T_BLR - J)/sqrt(J).
 
-    The weights come as one (n_boot, n) block from a single normal() call,
-    the same stream as n_boot draws of n, and ``quasilik.weighted_lr``
-    evaluates the whole block.  A draw whose weighted normal matrix is not
-    positive definite (possible under negative weights) is dropped in draw
-    order and as many new draws are made, until n_boot are kept; the kept
-    draws are those a draw-by-draw loop would keep.  Redraws are counted in
-    ``n_retries``, one at a time, and check_redraws aborts the run when they
-    exceed its budget.
+    A draw sees its weights only through their sums over the
+    ``quasilik.lr_features``, so ``multiplier_bootstrap`` draws the sums,
+    J(J+1)/2 + J + 1 normals a draw, not n.  ``n_retries`` counts redraws.
     """
     if n_boot < 100:
         raise ValueError(f"n_boot must be >= 100, got {n_boot}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    gen = as_generator(rng)
     features, n_null = quasilik.lr_features(design, projector, quasilik.mle(design))
+    values, retries = multiplier_bootstrap(
+        sum_law(features[None]), n_boot,
+        lambda sums, r: quasilik.weighted_lr(design, n_null, sums), as_generator(rng))
     J = design.dim
-    kept = []
-    retries = 0
-    need = n_boot
-    while need:
-        u = gen.normal(1.0, 1.0, (need, design.n_obs))
-        values, pd = quasilik.weighted_lr(design, features, n_null, u)
-        kept.append(values[pd])
-        for _ in range(need - len(kept[-1])):
-            retries += 1
-            check_redraws(retries, n_boot)
-        need -= len(kept[-1])
-    samples = np.concatenate(kept)
-    z = empirical_upper_quantile((samples - J) / np.sqrt(J), alpha)
-    return BootstrapRun(n_boot=n_boot, t_blr_samples=samples, z_star_alpha=z,
+    z = empirical_upper_quantile((values[0] - J) / np.sqrt(J), alpha)
+    return BootstrapRun(n_boot=n_boot, t_blr_samples=values[0], z_star_alpha=z,
                         alpha=alpha, n_retries=retries, dim=J)
 
 

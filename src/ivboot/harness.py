@@ -17,7 +17,7 @@ import numpy as np
 from .basis import RngStream, cosine_design
 from .benchmark import (_top_eigvec_2x2, ar_from, chi2_ppf, clr_critical_values, lm_from,
                         st_quadratics, tclr_from)
-from .bootstrap import check_redraws, empirical_upper_quantile
+from .bootstrap import empirical_upper_quantile, multiplier_bootstrap, sum_law
 from .quasilik import packed_cholesky_solve
 from .simgen import ErrorSpec, SimConfig, _gen_errors_batch, gen_pi
 
@@ -231,51 +231,21 @@ def _blr_values(engine: _Engine, sums, q11, q12, q22):
     return 2.0 * (lmax_b - gb), pd
 
 
-def _sum_law(engine: _Engine, y1, y2):
-    """The Gaussian law of each replication's sums F'u under N(1, 1)
-    weights u: mean (R, d) and factor (R, k, d) with k = min(n, d), so that
-    mean + z factor with z ~ N(0, I_k) has the law N(F'1, F'F).
-
-    With the thin QR factorization F = QR, F'u = F'1 + R'Q'(u - 1) and
-    Q'(u - 1) ~ N(0, I), so the factor is R.  R'R = F'F whatever the rank
-    of F (21 of 25 on the table designs), so no rank cutoff is needed.
-    """
-    F = engine.sum_features(y1, y2)
-    return F.sum(axis=1), np.linalg.qr(F, mode="r")
-
-
 def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen):
     """Per-replication bootstrap critical values of the profile LR statistic,
     and the number of draws redrawn.
 
     The quantile of ``_blr_values`` is on the same scale as the t_clr
     statistic, so the decision t_clr > quantile is exactly the
-    J + z*sqrt(J) threshold rule.  A bootstrap draw sees its N(1, 1)
-    weights only through its d sums, so the sums are drawn from their
-    exact Gaussian law (``_sum_law``): one (R, boot_reps, k) standard
-    normal block, so callers pass at most one unit of replications.  A draw
-    whose weighted Gram matrix is not positive definite is redrawn, in draw
-    order, as one (k,) normal draw until it is; each replication is one
-    bootstrap under bootstrap.check_redraws.
+    J + z*sqrt(J) threshold rule.  A draw sees its N(1, 1) weights only
+    through its d sums, which bootstrap.multiplier_bootstrap draws, one
+    bootstrap per replication, in a first block of (R, boot_reps, k)
+    normals; so callers pass at most one unit of replications.
     """
-    R = y1.shape[0]
-    B = engine.config.boot_reps
-    mean, factor = _sum_law(engine, y1, y2)
-    sums = np.matmul(gen.standard_normal((R, B, factor.shape[1])), factor)
-    sums += mean[:, None]
-    values, pd = _blr_values(engine, sums, q11, q12, q22)
-    redraws = np.zeros(R, dtype=int)
-    for r, b in zip(*np.nonzero(~pd)):
-        while True:
-            redraws[r] += 1
-            check_redraws(redraws[r], B)
-            sums = mean[r] + gen.standard_normal(factor.shape[1]) @ factor[r]
-            value, ok = _blr_values(engine, sums[None, None], q11[r:r + 1], q12[r:r + 1],
-                                    q22[r:r + 1])
-            if ok[0, 0]:
-                break
-        values[r, b] = value[0, 0]
-    return empirical_upper_quantile(values, engine.config.alpha), int(redraws.sum())
+    values, redraws = multiplier_bootstrap(
+        sum_law(engine.sum_features(y1, y2)), engine.config.boot_reps,
+        lambda sums, r: _blr_values(engine, sums, q11[r], q12[r], q22[r]), gen)
+    return empirical_upper_quantile(values, engine.config.alpha), redraws
 
 
 def _stream(config: SimConfig, role: int, unit: int) -> np.random.Generator:

@@ -156,8 +156,9 @@ def lr_features(design: GeneralDesign, projector, theta_ref) -> tuple[np.ndarray
     Q = [U0 | U1] of ``projector_split``, and dim U0.
 
     Row i packs the upper triangle of sum_k Q'eta_ki eta_ki'Q, then
-    Q' grad l_i(theta_ref), the term of ``grad_contributions``; shape
-    (n, J(J+1)/2 + J).  ``theta_ref`` must satisfy the hypothesis.
+    Q' grad l_i(theta_ref), the term of ``grad_contributions``, then a 1,
+    which counts the observation's 1/n share of the penalty; shape
+    (n, J(J+1)/2 + J + 1).  ``theta_ref`` must satisfy the hypothesis.
     """
     U1, U0 = projector_split(projector)
     Q = np.hstack([U0, U1])
@@ -165,44 +166,43 @@ def lr_features(design: GeneralDesign, projector, theta_ref) -> tuple[np.ndarray
     iu = np.triu_indices(design.dim)
     gram = np.sum(eta[:, :, iu[0]] * eta[:, :, iu[1]], axis=0)
     grad = grad_contributions(design, theta_ref) @ Q
-    return np.hstack([gram, grad]), U0.shape[1]
+    return np.hstack([gram, grad, np.ones((design.n_obs, 1))]), U0.shape[1]
 
 
-def weighted_lr(design: GeneralDesign, features: np.ndarray, n_null: int, weights):
-    """Likelihood-ratio statistic of the weighted objective for each weight
-    row of ``weights`` (m, n), with the ``lr_features`` of a design, and
-    each row's positive-definiteness verdict.
+def weighted_lr(design: GeneralDesign, n_null: int, sums):
+    """Likelihood-ratio statistic of the weighted objective, and the
+    positive-definiteness verdict, for each row of ``sums`` (..., d): the
+    sums u'F of weights u over the ``lr_features`` F of a design.
 
-    Expanded at theta_ref, the weighted objective is quadratic with
-    curvature M_u = A_u + penalty mean(u) I and gradient g_u.  One GEMM
-    gives every row's packed A_u and g_u in the basis Q; with the Cholesky
-    factor L of M_u and w = L^{-1} g_u, the full supremum gains ||w||^2 / 2
-    and the restricted one the part in its leading n_null coordinates, so
-    the statistic is ||w[n_null:]||^2 / 2.  A row whose M_u is not positive
-    definite gets a meaningless value and a False verdict.
+    Expanded at theta_ref, the objective is quadratic with curvature
+    M_u = A_u + penalty (1'u / n) I and gradient g_u, held by the sums in
+    the basis Q.  With w = L^{-1} g_u for the Cholesky factor L of M_u, the
+    statistic is ||w[n_null:]||^2 / 2: the full supremum gains ||w||^2 / 2,
+    the restricted one its part in the leading n_null coordinates.  A row
+    whose M_u is not positive definite gets a False verdict.
     """
     J = design.dim
-    sums = weights @ features
-    gram, grad = sums[:, :-J], sums[:, -J:]
+    flat = sums.reshape(-1, sums.shape[-1])
+    gram = flat[:, :-J - 1].copy()
     diagonal = [k * J - k * (k - 1) // 2 for k in range(J)]
-    gram[:, diagonal] += design.penalty * weights.mean(axis=1)[:, None]
-    w, pd = packed_cholesky_solve(gram, grad[:, None, :])
-    tail = w[:, 0, n_null:]
-    return 0.5 * np.einsum("mj,mj->m", tail, tail), pd
+    gram[:, diagonal] += design.penalty * (flat[:, -1:] / design.n_obs)
+    w, pd = packed_cholesky_solve(gram, flat[:, None, -J - 1:-1])
+    tail = w[:, 0, n_null:].reshape(*sums.shape[:-1], -1)
+    return 0.5 * np.einsum("...j,...j->...", tail, tail), pd.reshape(sums.shape[:-1])
 
 
 def t_lr(design: GeneralDesign, projector) -> float:
     """Likelihood-ratio statistic sup L - sup_{H0} L, a sum of squares.
 
-    The batch of one of ``weighted_lr`` at unit weights, expanded at the
-    feasible point theta = 0.
+    ``weighted_lr`` at unit weights, whose sums are the column sums of the
+    features, expanded at the feasible point theta = 0.
     """
     features, n_null = lr_features(design, projector, np.zeros(design.dim))
-    value, pd = weighted_lr(design, features, n_null, np.ones((1, design.n_obs)))
-    if not pd[0]:
+    value, pd = weighted_lr(design, n_null, features.sum(axis=0))
+    if not pd:
         raise SingularDesignError(
             "normal matrix is singular with penalty=0; refit with penalty > 0")
-    return float(value[0])
+    return float(value)
 
 
 def _inv_sqrt_psd(M: np.ndarray) -> np.ndarray:

@@ -67,8 +67,8 @@ class SimConfig:
             raise ValueError("reps must be >= 1")
         if self.boot_reps < 1:
             raise ValueError("boot_reps must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not 0.0 < self.alpha < 1.0 or 1.0 - self.alpha == 1.0:
+            raise ValueError(f"alpha must be in (0, 1) and 1 - alpha < 1, got {self.alpha}")
         if not 0.0 < self.concentration < math.inf:
             raise ValueError(f"concentration must be finite and positive, got {self.concentration}")
         if not math.isfinite(self.beta_star):

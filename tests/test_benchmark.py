@@ -172,9 +172,9 @@ def test_clr_critical_is_the_null_quantile(k, seed):
 @pytest.mark.parametrize("taus, k, alpha", [
     ([np.nan], 5, 0.05), ([-1e-9], 5, 0.05), ([np.inf], 5, 0.05),
     ([3.0], 5, 0.0), ([3.0], 5, 1.0), ([3.0], 5, 1.5), ([3.0], 5, np.nan),
-    ([3.0], 0, 0.05), ([3.0], 2.5, 0.05),
+    ([3.0], 5, 1e-17), ([3.0], 0, 0.05), ([3.0], 2.5, 0.05),
 ], ids=["tau-nan", "tau-negative", "tau-inf", "alpha-0", "alpha-1", "alpha-1.5", "alpha-nan",
-        "k-0", "k-2.5"])
+        "alpha-1e-17", "k-0", "k-2.5"])
 def test_clr_critical_values_reject_bad_input(taus, k, alpha):
     with pytest.raises(ValueError):
         clr_critical_values(taus, k, alpha)

@@ -157,9 +157,12 @@ def test_bad_grid_exits_one(capsys):
     (["test", "--beta0", "nan"], "beta0 must be finite"),
     (["test", "--concentration", "nan"], "concentration must be finite and positive"),
     (["power", "--beta-star", "inf", "--reps", "10"], "beta_star must be finite"),
+    # 1 - alpha rounds to 1: no chi-square or bootstrap quantile at that level
+    (["test", "--alpha", "1e-17"], "alpha must be in (0, 1)"),
+    (["power", "--alpha", "1e-300", "--reps", "10"], "alpha must be in (0, 1)"),
 ], ids=["test-n20", "test-n30", "diagnose-singular", "test-singular", "power-singular",
         "test-boot-reps-0", "power-boot-reps-0", "test-beta0-nan", "test-concentration-nan",
-        "power-beta-star-inf"])
+        "power-beta-star-inf", "test-alpha-1e-17", "power-alpha-1e-300"])
 def test_degenerate_runs_exit_one(capsys, argv, message):
     assert run(argv) == 1
     out, err = capsys.readouterr()

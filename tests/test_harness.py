@@ -4,8 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 
-from ivboot import ErrorSpec, SimConfig, harness
+from ivboot import ErrorSpec, SimConfig, benchmark, harness
 from ivboot.harness import (
     PowerTable,
     TABLE_SPECS,
@@ -72,6 +73,22 @@ def test_power_curve_deterministic_rerun():
     t1 = power_curve(small_config(), n_threads=2)
     t2 = power_curve(small_config(), n_threads=2)
     assert t1.to_csv_text() == t2.to_csv_text()
+
+
+def test_clr_curve_is_built_once_by_concurrent_workers(monkeypatch):
+    # the grid's rate tasks reach the CLR curve together on both workers;
+    # its first use builds it once, not once per worker
+    builds = []
+    interpolate = Chebyshev.interpolate
+
+    def counting_interpolate(*args, **kwargs):
+        builds.append(threading.get_ident())
+        return interpolate(*args, **kwargs)
+
+    monkeypatch.setattr(Chebyshev, "interpolate", counting_interpolate)
+    benchmark._clr_curve.cache_clear()
+    power_curve(table_config(1, reps=harness._UNIT, boot_reps=100), n_threads=2)
+    assert len(builds) == 1
 
 
 def test_power_curve_reuses_its_workers(monkeypatch):

@@ -27,10 +27,9 @@ from ivboot.benchmark import (
     tclr_from,
 )
 from ivboot.bootstrap import (RetryDrawError, boot_loglik, boot_quantile, check_redraws,
-                              empirical_upper_quantile)
+                              empirical_upper_quantile, sum_law)
 from ivboot.harness import (TABLE_SPECS, _UNIT, _blr_quantiles, _blr_values, _Engine,
-                            _profile_from_sums, _sample_unit, _sum_law, power_curve,
-                            table_config)
+                            _sample_unit, power_curve, table_config)
 from ivboot.quasilik import (lr_features, loglik, mle, projector_split, restricted_mle, t_lr,
                              weighted_lr)
 from ivboot.simgen import ERROR_KINDS, ErrorSpec, _gen_errors_batch, gen_errors, gen_sample
@@ -144,6 +143,23 @@ class _FirstBlock:
         return block
 
 
+def _in_place_quantiles(engine, y1, y2, q, block, gen):
+    """The critical values and redraw count of the per-row rule: the sums
+    of ``block`` (R, B, k) under each replication's law, and each rejected
+    draw (r, b), in order, redrawn in place from one gen.standard_normal(k)
+    row at a time until it is accepted."""
+    mean, factor = sum_law(engine.sum_features(y1, y2))
+    values, ok = _blr_values(engine, np.matmul(block, factor) + mean[:, None], *q)
+    n_redrawn = 0
+    for r, b in zip(*np.nonzero(~ok)):
+        while not ok[r, b]:
+            n_redrawn += 1
+            sums = mean[r] + gen.standard_normal(factor.shape[1]) @ factor[r]
+            value, verdict = _blr_values(engine, sums[None, None], *(x[r:r + 1] for x in q))
+            values[r, b], ok[r, b] = value[0, 0], verdict[0, 0]
+    return empirical_upper_quantile(values, engine.config.alpha), n_redrawn
+
+
 @pytest.mark.parametrize("n_bad, reps", [(1, 1), (2, 1), (3, 1), (3, 2)])
 def test_blr_redraws_are_counted(n_bad, reps):
     # each replication is one bootstrap of 200 draws, which may redraw 2;
@@ -167,6 +183,12 @@ def test_blr_redraws_are_counted(n_bad, reps):
     crit, n_retries = _blr_quantiles(engine, y1, y2, *q, _FirstBlock(block, gen))
     assert n_retries == n_bad
     assert np.all(np.isfinite(crit))
+    # the block rule redraws the normals of the per-row rule: same quantiles
+    gen = np.random.default_rng(5)
+    gen.standard_normal(block.shape)
+    in_place, n_redrawn = _in_place_quantiles(engine, y1, y2, q, block, gen)
+    assert np.array_equal(crit, in_place)
+    assert n_redrawn == n_bad
 
 
 def test_blr_redraws_every_indefinite_gram():
@@ -208,40 +230,65 @@ def test_blr_redraws_every_indefinite_gram():
                                  rel=1e-10)
 
 
-def _drawn_and_weighted(cfg, reps, n_draws, seed):
-    """``reps`` replications of cfg's table-1 model, and for each the sums F'u
-    of n_draws weight vectors u and n_draws sums drawn from their Gaussian
-    law, with independent streams."""
+def _harness_sums(n, reps, seed):
+    """Sum features F (reps, n, 25) of ``reps`` replications of the table-1
+    model at n observations, and the BLR statistic of their sums."""
+    cfg = dataclasses.replace(table_config(1, reps=reps, boot_reps=1000), n=n,
+                              concentration=n * TABLE_SPECS[1]["lam"])
     engine = _Engine(cfg)
-    eps = _gen_errors_batch(cfg.error, cfg.n, reps, RngStream(seed, 0).generator())
+    eps = _gen_errors_batch(cfg.error, n, reps, RngStream(seed, 0).generator())
     y1 = cfg.beta_star * engine.x[None, :] + eps[:, :, 0]
     y2 = engine.x[None, :] + eps[:, :, 1]
-    u = RngStream(seed, 1).generator().normal(1.0, 1.0, (reps, n_draws, cfg.n))
-    weighted = np.matmul(u, engine.sum_features(y1, y2))
-    mean, factor = _sum_law(engine, y1, y2)
+    q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+    return engine.sum_features(y1, y2), lambda sums: _blr_values(engine, sums, *q)
+
+
+def _quasilik_sums(n, reps, seed):
+    """``lr_features`` F (reps, n, 21) of ``reps`` random cosine designs of n
+    observations, and the T_BLR of their sums."""
+    gen = RngStream(seed, 0).generator()
+    designs = [random_cosine_design(n, gen) for _ in range(reps)]
+    features = [lr_features(d, H0_PROJECTOR, mle(d)) for d in designs]
+
+    def statistic(sums):
+        out = [weighted_lr(d, n_null, s) for d, (_, n_null), s in zip(designs, features, sums)]
+        return tuple(np.stack(x) for x in zip(*out))
+    return np.stack([f for f, _ in features]), statistic
+
+
+SUM_CASES = {"harness": _harness_sums, "quasilik": _quasilik_sums}
+
+
+def _drawn_and_weighted(F, n_draws, seed):
+    """For each replication's features F (reps, n, d), the sums F'u of
+    n_draws weight vectors u and n_draws sums drawn from their Gaussian
+    law, with independent streams."""
+    reps, n, _ = F.shape
+    u = RngStream(seed, 1).generator().normal(1.0, 1.0, (reps, n_draws, n))
+    weighted = np.matmul(u, F)
+    mean, factor = sum_law(F)
     z = RngStream(seed, 2).generator().standard_normal((reps, n_draws, factor.shape[1]))
     drawn = mean[:, None] + np.matmul(z, factor)
-    return engine, y1, y2, weighted, drawn
+    return weighted, drawn
 
 
-def test_drawn_sums_have_the_law_of_weighted_sums():
+@pytest.mark.parametrize("case", SUM_CASES)
+def test_drawn_sums_have_the_law_of_weighted_sums(case):
     # the Gaussian law of the drawn sums has the mean F'1 and covariance
     # F'F of the sums F'u; per replication, two-sample KS tests compare the
     # drawn path with the n-vector path on the bootstrap statistic and on
-    # one fixed linear combination of the 25 sums
-    cfg = table_config(1, reps=8, boot_reps=1000)
-    engine, y1, y2, weighted, drawn = _drawn_and_weighted(cfg, 8, 5000, 7)
-    F = engine.sum_features(y1, y2)
-    mean, factor = _sum_law(engine, y1, y2)
+    # one fixed linear combination of the sums
+    F, statistic = SUM_CASES[case](200, 8, 7)
+    weighted, drawn = _drawn_and_weighted(F, 5000, 7)
+    mean, factor = sum_law(F)
     cov = np.matmul(F.transpose(0, 2, 1), F)
     assert np.allclose(mean, F.sum(axis=1), rtol=0, atol=1e-12 * np.abs(F).sum())
     assert np.allclose(np.matmul(factor.transpose(0, 2, 1), factor), cov,
                        rtol=0, atol=1e-12 * np.abs(cov).max())
-    q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
-    t_weighted, pd_weighted = _blr_values(engine, weighted, *q)
-    t_drawn, pd_drawn = _blr_values(engine, drawn, *q)
+    t_weighted, pd_weighted = statistic(weighted)
+    t_drawn, pd_drawn = statistic(drawn)
     assert pd_weighted.all() and pd_drawn.all()
-    direction = RngStream(7, 3).generator().standard_normal(25)
+    direction = RngStream(7, 3).generator().standard_normal(F.shape[2])
     p_values = []
     for r in range(8):
         p_values.append(ks_2samp(t_weighted[r], t_drawn[r]).pvalue)
@@ -250,15 +297,15 @@ def test_drawn_sums_have_the_law_of_weighted_sums():
     assert min(p_values) > 1e-3
 
 
-def test_drawn_sums_redraw_as_often_as_weighted_sums():
-    # at n = 30, q = 5 about 4% of N(1, 1) weight vectors give an indefinite
-    # weighted Gram matrix; drawing the sums must reject as often
-    cfg = dataclasses.replace(table_config(1, reps=1, boot_reps=1000), n=30,
-                              concentration=30 * TABLE_SPECS[1]["lam"])
+@pytest.mark.parametrize("case, n", [("harness", 30), ("quasilik", 35)])
+def test_drawn_sums_redraw_as_often_as_weighted_sums(case, n):
+    # at these n about 4% of N(1, 1) weight vectors give an indefinite
+    # weighted matrix; drawing the sums must reject as often
     n_draws = 50_000
-    engine, _, _, weighted, drawn = _drawn_and_weighted(cfg, 1, n_draws, 11)
-    rate_weighted = 1.0 - _profile_from_sums(engine, weighted)[3].mean()
-    rate_drawn = 1.0 - _profile_from_sums(engine, drawn)[3].mean()
+    F, statistic = SUM_CASES[case](n, 1, 11)
+    weighted, drawn = _drawn_and_weighted(F, n_draws, 11)
+    rate_weighted = 1.0 - statistic(weighted)[1].mean()
+    rate_drawn = 1.0 - statistic(drawn)[1].mean()
     sd = np.sqrt(2.0 * rate_weighted * (1.0 - rate_weighted) / n_draws)
     assert 0.03 < rate_weighted < 0.05
     assert abs(rate_drawn - rate_weighted) < 4.0 * sd
@@ -317,7 +364,8 @@ def test_weighted_lr_matches_reference_per_draw(case):
     design, projector, gen = case
     theta_tilde = mle(design)
     u = gen.normal(1.0, 1.0, (40, design.n_obs))
-    values, pd = weighted_lr(design, *lr_features(design, projector, theta_tilde), u)
+    features, n_null = lr_features(design, projector, theta_tilde)
+    values, pd = weighted_lr(design, n_null, u @ features)
     for b in range(len(u)):
         try:
             maxima = reference_maxima(design, u[b], projector, theta_tilde)
@@ -336,15 +384,38 @@ def test_t_lr_matches_difference_of_maxima(case):
                                loglik(design, restricted_mle(design, projector)))
 
 
+def reference_gains(design, n_null, sums):
+    """The full and the restricted maximum, over the value at theta_ref, of
+    the weighted objective whose sums over ``lr_features`` are ``sums``,
+    each from its own linear solve; their difference is T_BLR.  Raises
+    RetryDrawError when numpy's Cholesky rejects the weighted normal
+    matrix."""
+    J = design.dim
+    upper = np.zeros((J, J))
+    upper[np.triu_indices(J)] = sums[:J * (J + 1) // 2]
+    M = upper + np.triu(upper, 1).T + design.penalty * sums[-1] / design.n_obs * np.eye(J)
+    g = sums[-J - 1:-1]
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise RetryDrawError("weighted normal matrix is not positive definite") from None
+    full = 0.5 * g @ np.linalg.solve(M, g)
+    h = slice(0, n_null)
+    restricted = 0.5 * g[h] @ np.linalg.solve(M[h, h], g[h]) if n_null else 0.0
+    return full, restricted
+
+
 def _sequential_boot(design, projector, n_boot, gen):
-    """boot_quantile's samples and redraw count, one gen.normal(1, 1, n)
-    vector at a time, skipping each vector numpy's Cholesky rejects."""
-    theta_tilde = mle(design)
+    """boot_quantile's samples and redraw count: the sums drawn from their
+    law one gen.standard_normal(k) row at a time, skipping each row whose
+    matrix numpy's Cholesky rejects."""
+    features, n_null = lr_features(design, projector, mle(design))
+    mean, factor = features.sum(axis=0), np.linalg.qr(features, mode="r")
     samples, retries = [], 0
     while len(samples) < n_boot:
         try:
-            full, restricted = reference_maxima(design, gen.normal(1.0, 1.0, design.n_obs),
-                                                projector, theta_tilde)
+            full, restricted = reference_gains(
+                design, n_null, mean + gen.standard_normal(len(factor)) @ factor)
             samples.append(full - restricted)
         except RetryDrawError:
             retries += 1
@@ -353,7 +424,7 @@ def _sequential_boot(design, projector, n_boot, gen):
 
 
 @pytest.mark.parametrize("n, n_instruments, n_boot, seed", [
-    (50, 1, 1000, 3), (60, 1, 1000, 1), (40, 2, 1000, 2), (100, 1, 1000, 1),  # 9, 4, 3, 1 redraws
+    (50, 1, 1000, 3), (60, 1, 1000, 1), (40, 2, 1000, 1), (100, 1, 1000, 9),  # 8, 2, 5, 1 redraws
     (30, 1, 1000, 2), (25, 2, 500, 4),  # aborts
 ])
 def test_boot_quantile_is_the_sequential_redraw_loop(n, n_instruments, n_boot, seed):
