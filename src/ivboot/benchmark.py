@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import GeneralDesign, IvSample
 from .bootstrap import RetryDrawError
-from .quasilik import SingularNuisanceError, _inv_sqrt_psd, positive_definite
+from .quasilik import SingularNuisanceError, _inv_sqrt_psd, packed_cholesky_solve
 
 
 @dataclass(frozen=True)
@@ -251,32 +251,68 @@ def clr_critical(t_norm2: float, n_instruments: int, alpha: float) -> float:
     return float(clr_critical_values([t_norm2], n_instruments, alpha)[0])
 
 
-def _profile_quadratics(sample: IvSample, weights: Optional[np.ndarray]):
-    """The 2x2 matrix M and the scalar C_u of the (weighted) profile
-    likelihood.
-
-    For fixed beta the nuisance coefficients solve a weighted least-squares
-    problem; profiling them out leaves
-        value(beta) = -0.5 * (C_u - d' M d / d'd),  d = (beta, 1),
-    with M = W' G_u^{-1} W, G_u = Z diag(u) Z' and W = Z diag(u) (y1, y2).
-    A G_u that fails ``quasilik.positive_definite`` has no maximizer: that
-    raises RetryDrawError for weights, so the caller can redraw, and
-    SingularNuisanceError for the unweighted sample.
+def profile_features(z, y1, y2):
+    """Features F (..., n, d) of outcomes y1, y2 (..., n) and instruments
+    z (J, n): weights u enter the weighted profile only through the sums
+    u'F.  Row i packs the upper triangle of z_i z_i' (numpy.triu_indices
+    order), then y1_i z_i', then y2_i z_i': d = J(J+1)/2 + 2J, 25 at J = 5.
     """
-    z = sample.z
-    y = np.stack([sample.y1, sample.y2], axis=1)  # (n, 2)
+    iu = np.triu_indices(z.shape[0])
+    gram = (z[iu[0]] * z[iu[1]]).T  # (n, J(J+1)/2)
+    return np.concatenate([np.broadcast_to(gram, y1.shape[:-1] + gram.shape),
+                           y1[..., None] * z.T, y2[..., None] * z.T], axis=-1)
+
+
+def profile_from_sums(sums, J: int):
+    """Weighted 2x2 profile matrices from sums u'F (..., d) of
+    ``profile_features`` with J instruments, and a verdict per row.
+
+    The sums hold the packed upper triangle of G = Z diag(u) Z', then
+    W = Z diag(u) (y1, y2).  hb = W' G^{-1} W = A'A with A = C'^{-1} W from
+    the Cholesky factor G = C'C of ``quasilik.packed_cholesky_solve``.  The
+    verdict says whether G is positive definite.  The hb of a row that
+    fails is finite but meaningless.  Returns hb11, hb12, hb22 and the
+    verdict, each shaped sums.shape[:-1].
+    """
+    n_gram = J * (J + 1) // 2
+    flat = sums.reshape(-1, n_gram + 2 * J)
+    a, pd = packed_cholesky_solve(flat[:, :n_gram], flat[:, n_gram:].reshape(-1, 2, J))
+    hb11 = np.einsum("mj,mj->m", a[:, 0], a[:, 0])
+    hb12 = np.einsum("mj,mj->m", a[:, 0], a[:, 1])
+    hb22 = np.einsum("mj,mj->m", a[:, 1], a[:, 1])
+    return tuple(x.reshape(sums.shape[:-1]) for x in (hb11, hb12, hb22, pd))
+
+
+def _weighted_sums(sample: IvSample, weights: Optional[np.ndarray]):
+    """Weights u (None: unit weights) and their sums u'F over the sample's
+    profile_features."""
     n = sample.n_obs
     u = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if u.shape != (n,):
         raise ValueError(f"weights must be ({n},), got {u.shape}")
-    G_u = (z * u[None, :]) @ z.T  # (J, J)
-    W = (z * u[None, :]) @ y  # (J, 2): columns pair with d
-    C_u = float(np.einsum("ni,ni,n->", y, y, u))
-    if not positive_definite(G_u):
+    return u, u @ profile_features(sample.z, sample.y1, sample.y2)
+
+
+def _profile_quadratics(sample: IvSample, weights: Optional[np.ndarray]):
+    """The 2x2 matrix M and the scalar C_u of the (weighted) profile
+    likelihood: the batch of one of profile_from_sums.
+
+    For fixed beta the nuisance coefficients solve a weighted least-squares
+    problem; profiling them out leaves
+        value(beta) = -0.5 * (C_u - d' M d / d'd),  d = (beta, 1),
+    with M = W' G_u^{-1} W, G_u = Z diag(u) Z', W = Z diag(u) (y1, y2) and
+    C_u = u'(y1^2 + y2^2).  A G_u that fails the kernel's verdict has no
+    maximizer: that raises RetryDrawError for weights, so the caller can
+    redraw, and SingularNuisanceError for the unweighted sample.
+    """
+    u, sums = _weighted_sums(sample, weights)
+    h11, h12, h22, pd = profile_from_sums(sums, sample.n_instruments)
+    if not pd:
         if weights is None:
             raise SingularNuisanceError("instrument Gram matrix is not positive definite")
         raise RetryDrawError("weighted instrument Gram matrix is not positive definite")
-    return W.T @ np.linalg.solve(G_u, W), C_u
+    C_u = float(u @ (sample.y1 * sample.y1 + sample.y2 * sample.y2))
+    return np.array([[h11, h12], [h12, h22]]), C_u
 
 
 def ams_profile_loglik(sample: IvSample, beta: float,
@@ -306,6 +342,18 @@ def _top_eigvec_2x2(h11, h12, h22):
     vx = np.where((vx == 0.0) & (vy == 0.0), 1.0, vx)  # h = h11 * I: any vector
     nrm = np.hypot(vx, vy)
     return lmax, vx / nrm, vy / nrm
+
+
+def blr_values(sums, J: int, vx, vy):
+    """Bootstrap likelihood-ratio statistics of sum rows (..., d) on the
+    t_clr scale, and their verdicts (see profile_from_sums): beta fixed
+    along the unit direction (vx, vy), which broadcasts against
+    sums.shape[:-1], gives 2 (top eigenvalue of hb - hb at that direction).
+    """
+    hb11, hb12, hb22, pd = profile_from_sums(sums, J)
+    lmax_b, _, _ = _top_eigvec_2x2(hb11, hb12, hb22)
+    gb = vx * vx * hb11 + 2 * vx * vy * hb12 + vy * vy * hb22
+    return 2.0 * (lmax_b - gb), pd
 
 
 def _sup_profile_g(M: np.ndarray):
@@ -347,20 +395,26 @@ def ams_lr_statistic(sample: IvSample, beta0: float) -> float:
 
 def ams_blr_statistic(sample: IvSample, weights,
                       center: Optional[float] = None) -> float:
-    """Bootstrap likelihood-ratio statistic on the t_clr scale.
+    """Bootstrap likelihood-ratio statistic on the t_clr scale: the batch of
+    one of blr_values, with RetryDrawError for a failed verdict.
 
-    The restricted optimum fixes beta at the full-sample profile maximizer
-    (the centered bootstrap hypothesis) while the nuisance coefficients stay
-    free under the weighted objective.  Pass ``center`` to pin beta at some
-    other value, e.g. the hypothesized beta0.  One draw at a time, this is
-    the reference that harness._blr_quantiles is tested against.
+    beta is fixed at the full-sample profile maximizer (the centered
+    bootstrap hypothesis), the top eigenvector of the unweighted profile
+    matrix, or at ``center`` if given (inf: the direction (1, 0)).
     """
     if center is None:
-        center, _ = profile_sup(sample)
-    _, sup_w = profile_sup(sample, weights)
-    prof_c = ams_profile_loglik(sample, center, weights)
-    stat = 4.0 * (sup_w - prof_c)
-    return stat
+        M, _ = _profile_quadratics(sample, None)
+        _, vx, vy = _top_eigvec_2x2(M[0, 0], M[0, 1], M[1, 1])
+    elif np.isinf(center):
+        vx, vy = 1.0, 0.0
+    else:
+        norm = math.hypot(center, 1.0)
+        vx, vy = center / norm, 1.0 / norm
+    _, sums = _weighted_sums(sample, weights)
+    value, pd = blr_values(sums, sample.n_instruments, vx, vy)
+    if not pd:
+        raise RetryDrawError("weighted instrument Gram matrix is not positive definite")
+    return float(value)
 
 
 def benchmark_design(sample: IvSample) -> GeneralDesign:

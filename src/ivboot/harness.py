@@ -15,10 +15,9 @@ from importlib import resources
 import numpy as np
 
 from .basis import RngStream, cosine_design
-from .benchmark import (_top_eigvec_2x2, ar_from, chi2_ppf, clr_critical_values, lm_from,
-                        st_quadratics, tclr_from)
+from .benchmark import (_top_eigvec_2x2, ar_from, blr_values, chi2_ppf, clr_critical_values,
+                        lm_from, profile_features, st_quadratics, tclr_from)
 from .bootstrap import empirical_upper_quantile, multiplier_bootstrap, sum_law
-from .quasilik import packed_cholesky_solve
 from .simgen import ErrorSpec, SimConfig, _gen_errors_batch, gen_pi
 
 TEST_NAMES = ("LR", "BLR", "CLR", "AR", "LM")
@@ -155,10 +154,14 @@ def load_reference_table(reference_id: int):
 
 
 def max_threads() -> int:
+    """The worker count of power_curve: IVBOOT_THREADS, a positive integer,
+    or when it is unset or empty the CPU count, at most 4."""
     env = os.environ.get("IVBOOT_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    if not (env.isascii() and env.isdigit()) or int(env) < 1:
+        raise ValueError(f"IVBOOT_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 class _Engine:
@@ -171,17 +174,6 @@ class _Engine:
         self.x = self.z.T @ self.pi
         gram = self.z @ self.z.T
         self.gram_inv = np.linalg.inv(gram)
-        # upper-triangle feature matrix for one-dgemm weighted Gram builds
-        iu = np.triu_indices(self.z.shape[0])
-        self.features = (self.z[iu[0]] * self.z[iu[1]])  # (J(J+1)/2, n)
-
-    def sum_features(self, y1, y2):
-        """F = [features' | y1 Z' | y2 Z'] per replication, shape (R, n, d)
-        with d = J(J+1)/2 + 2J (25 at J = 5): a weight vector u enters the
-        weighted profile only through its d sums F'u."""
-        R, n = y1.shape
-        return np.concatenate([np.broadcast_to(self.features.T, (R, n, self.features.shape[0])),
-                               y1[:, :, None] * self.z.T, y2[:, :, None] * self.z.T], axis=2)
 
     def quadratics(self, ZY1, ZY2):
         """q11, q12, q22 of the 2x2 profile matrix H per replication, from
@@ -193,58 +185,22 @@ class _Engine:
         return q11, q12, q22
 
 
-def _profile_from_sums(engine: _Engine, sums):
-    """Weighted 2x2 profile matrices from sums (..., d), with a verdict per
-    row.
-
-    The sums hold the packed upper triangle of G = Z diag(u) Z', then
-    W = Z diag(u) (y1, y2).  hb = W' G^{-1} W = A'A with A = C'^{-1} W from
-    the Cholesky factor G = C'C of ``quasilik.packed_cholesky_solve``.  The
-    verdict says whether G is positive definite.  The hb of a row that
-    fails is finite but meaningless.  Returns hb11, hb12, hb22 and the
-    verdict, each shaped sums.shape[:-1].
-    """
-    J = engine.config.q
-    n_gram = J * (J + 1) // 2
-    flat = sums.reshape(-1, n_gram + 2 * J)
-    a, pd = packed_cholesky_solve(flat[:, :n_gram], flat[:, n_gram:].reshape(-1, 2, J))
-    hb11 = np.einsum("mj,mj->m", a[:, 0], a[:, 0])
-    hb12 = np.einsum("mj,mj->m", a[:, 0], a[:, 1])
-    hb22 = np.einsum("mj,mj->m", a[:, 1], a[:, 1])
-    return tuple(x.reshape(sums.shape[:-1]) for x in (hb11, hb12, hb22, pd))
-
-
-def _blr_values(engine: _Engine, sums, q11, q12, q22):
-    """Bootstrap statistics of sum rows (R, B, d), and their verdicts.
-
-    The statistic fixes beta at replication r's full-sample profile
-    maximizer (top eigenvector of its unweighted 2x2 profile matrix, from
-    q11[r], q12[r], q22[r]) and reoptimizes the nuisance coefficients under
-    the weighted objective: 2 (top eigenvalue of hb - hb at that direction).
-    """
-    _, vx, vy = _top_eigvec_2x2(q11, q12, q22)
-    hb11, hb12, hb22, pd = _profile_from_sums(engine, sums)
-    lmax_b, _, _ = _top_eigvec_2x2(hb11, hb12, hb22)
-    vxr = vx[:, None]
-    vyr = vy[:, None]
-    gb = vxr * vxr * hb11 + 2 * vxr * vyr * hb12 + vyr * vyr * hb22
-    return 2.0 * (lmax_b - gb), pd
-
-
 def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen):
     """Per-replication bootstrap critical values of the profile LR statistic,
     and the number of draws redrawn.
 
-    The quantile of ``_blr_values`` is on the same scale as the t_clr
-    statistic, so the decision t_clr > quantile is exactly the
-    J + z*sqrt(J) threshold rule.  A draw sees its N(1, 1) weights only
-    through its d sums, which bootstrap.multiplier_bootstrap draws, one
+    The statistic is ``blr_values`` at the replication's full-sample profile
+    maximizer, the top eigenvector of (q11, q12, q22); its quantile is on
+    the t_clr scale, so t_clr > quantile is exactly the J + z*sqrt(J)
+    rule.  A draw sees its N(1, 1) weights only through its sums over
+    ``profile_features``, which bootstrap.multiplier_bootstrap draws, one
     bootstrap per replication, in a first block of (R, boot_reps, k)
     normals; so callers pass at most one unit of replications.
     """
+    _, vx, vy = _top_eigvec_2x2(q11, q12, q22)
     values, redraws = multiplier_bootstrap(
-        sum_law(engine.sum_features(y1, y2)), engine.config.boot_reps,
-        lambda sums, r: _blr_values(engine, sums, q11[r], q12[r], q22[r]), gen)
+        sum_law(profile_features(engine.z, y1, y2)), engine.config.boot_reps,
+        lambda sums, r: blr_values(sums, engine.config.q, vx[r, None], vy[r, None]), gen)
     return empirical_upper_quantile(values, engine.config.alpha), redraws
 
 
@@ -271,10 +227,9 @@ def _sample_unit(engine: _Engine, unit: int):
     return q11, q12, q22, blr_crit, redraws
 
 
-def _lr_critical(engine: _Engine, grid, law: ErrorSpec,
-                 n_sims: int = N_NULL_SIMS) -> np.ndarray:
+def _lr_critical(engine: _Engine, grid, law: ErrorSpec) -> np.ndarray:
     """Oracle critical value at each hypothesized value v of ``grid``: the
-    upper alpha quantile of t_clr over n_sims null samples drawn at beta = v.
+    upper alpha quantile of t_clr over N_NULL_SIMS null samples at beta = v.
 
     The null errors, under ``law``, are drawn once for the whole grid, in
     blocks with streams (_NULL, block), and kept only through their
@@ -282,10 +237,10 @@ def _lr_critical(engine: _Engine, grid, law: ErrorSpec,
     v Z x + Z e1 and Z x + Z e2.
     """
     cfg = engine.config
-    ze1 = np.empty((n_sims, cfg.q))
-    ze2 = np.empty((n_sims, cfg.q))
-    for block, lo in enumerate(range(0, n_sims, _NULL_BLOCK)):
-        m = min(_NULL_BLOCK, n_sims - lo)
+    ze1 = np.empty((N_NULL_SIMS, cfg.q))
+    ze2 = np.empty((N_NULL_SIMS, cfg.q))
+    for block, lo in enumerate(range(0, N_NULL_SIMS, _NULL_BLOCK)):
+        m = min(_NULL_BLOCK, N_NULL_SIMS - lo)
         eps = _gen_errors_batch(law, cfg.n, m, _stream(cfg, _NULL, block))
         ze1[lo:lo + m] = eps[:, :, 0] @ engine.z.T
         ze2[lo:lo + m] = eps[:, :, 1] @ engine.z.T
@@ -304,13 +259,12 @@ def _clr_critical_curve(tt: np.ndarray, q: int, alpha: float) -> np.ndarray:
     return clr_critical_values(tt, q, alpha)
 
 
-def oracle_lr_critical(config: SimConfig, beta0: float,
-                       n_sims: int = N_NULL_SIMS) -> float:
+def oracle_lr_critical(config: SimConfig, beta0: float) -> float:
     """Critical value of the profile LR statistic from null simulations:
     data at beta = beta0 under the configured error law.  This is the LR
     kernel of power_curve with a grid of one, so it equals the power
     curve's critical value at beta0."""
-    return float(_lr_critical(_Engine(config), (beta0,), config.error, n_sims)[0])
+    return float(_lr_critical(_Engine(config), (beta0,), config.error)[0])
 
 
 @functools.cache
@@ -346,7 +300,7 @@ def _pool(n_threads: int, pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=n_threads, initializer=initializer)
 
 
-def power_curve(config: SimConfig, n_threads=None, lr_oracle_error=None) -> PowerTable:
+def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     """Rejection frequencies of all five tests over the hypothesis grid.
 
     ``config.reps`` samples are drawn once at the configured truth, each
@@ -357,8 +311,8 @@ def power_curve(config: SimConfig, n_threads=None, lr_oracle_error=None) -> Powe
     depends only on the config and that value, not on the rest of the grid.
     Every stream is keyed by (role, unit) and replication units have a
     fixed size, so results are identical for any thread count.
-    The workers are those of ``_pool``, and the call returns only once
-    all of its tasks have ended.
+    The max_threads() workers are those of ``_pool``, and the call returns
+    only once all of its tasks have ended.
     With more than one worker, each worker's BLAS runs on one thread.
     ``lr_oracle_error`` overrides the error law of the LR null simulations;
     calibrating against the nominal unit-covariance law instead of the
@@ -367,11 +321,9 @@ def power_curve(config: SimConfig, n_threads=None, lr_oracle_error=None) -> Powe
     """
     engine = _Engine(config)
     cfg = config
-    if n_threads is None:
-        n_threads = max_threads()
     law = lr_oracle_error if lr_oracle_error is not None else cfg.error
     n_units = (cfg.reps + _UNIT - 1) // _UNIT
-    ex = _pool(n_threads, os.getpid())
+    ex = _pool(max_threads(), os.getpid())
     lr_fut = ex.submit(_lr_critical, engine, cfg.beta_grid, law)
     unit_futs = [ex.submit(_sample_unit, engine, u) for u in range(n_units)]
     futs = [lr_fut, *unit_futs]

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -126,26 +125,18 @@ def gen_errors(spec: ErrorSpec, n: int, rng) -> np.ndarray:
     return _gen_errors_batch(spec, n, 1, as_generator(rng))[0]
 
 
-def gen_sample(config: SimConfig, beta: Optional[float] = None, rng=None,
-               noiseless: bool = False) -> IvSample:
-    """One realized dataset at the given beta (default: the configured truth).
+def gen_sample(config: SimConfig, rng=None) -> IvSample:
+    """One realized dataset at the configured truth, its errors drawn from
+    ``rng`` (default: the config's stream 0).
 
     The test statistics treat the error covariance as known and equal to I
     in every experiment, including the misspecified ones.
-    ``noiseless=True`` is a test hook that drops the disturbances entirely.
     """
-    if beta is None:
-        beta = config.beta_star
     z = cosine_design(config.n, config.q)
     pi = gen_pi(z, config.concentration)
     x = z.T @ pi
-    if noiseless:
-        eps = np.zeros((config.n, 2))
-    else:
-        if rng is None:
-            rng = config.rng()
-        eps = gen_errors(config.error, config.n, rng)
-    y1 = beta * x + eps[:, 0]
+    eps = gen_errors(config.error, config.n, config.rng() if rng is None else rng)
+    y1 = config.beta_star * x + eps[:, 0]
     y2 = x + eps[:, 1]
     return IvSample(y1=y1, y2=y2, z=z,
-                    truth=SampleTruth(beta_star=float(beta), pi_star=pi))
+                    truth=SampleTruth(beta_star=float(config.beta_star), pi_star=pi))

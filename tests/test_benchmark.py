@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammainc
@@ -18,6 +20,8 @@ from ivboot.benchmark import (
     chi2_ppf,
     clr_critical,
     clr_critical_values,
+    profile_features,
+    profile_from_sums,
     profile_sup,
     st_vectors,
     t_ar,
@@ -26,9 +30,9 @@ from ivboot.benchmark import (
     tclr_from,
 )
 from ivboot.bootstrap import RetryDrawError
-from ivboot.harness import _Engine, _profile_from_sums, table_config
+from ivboot.harness import _Engine, table_config
 from ivboot.quasilik import SingularNuisanceError
-from ivboot.simgen import gen_sample
+from ivboot.simgen import _gen_errors_batch, gen_sample
 
 
 def make_sample(seed=0, beta=1.0, n=80, q=4, noise=1.0):
@@ -191,9 +195,69 @@ def test_profile_zero_weights_fallback():
     s = make_sample()
     with pytest.raises(RetryDrawError):
         ams_blr_statistic(s, np.zeros(s.n_obs))
-    engine = _Engine(SimConfig(n=s.n_obs, q=s.n_instruments))
-    sums = np.zeros((1, engine.features.shape[0] + 2 * s.n_instruments))
-    assert not _profile_from_sums(engine, sums)[3][0]
+    J = s.n_instruments
+    assert not profile_from_sums(np.zeros((1, J * (J + 1) // 2 + 2 * J)), J)[3][0]
+
+
+@hs.composite
+def profile_cases(draw):
+    """Instruments z (J, n) with columns of unequal scale, the whole matrix
+    scaled by 1 or 1e-6, outcomes y1, y2 and 30 N(1, 1) weight vectors; at
+    n close to J many weighted Gram matrices are indefinite.  The last
+    vector puts a large negative weight on one observation, which makes
+    G = Z diag(u) Z' indefinite for J >= 2."""
+    gen = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    J = draw(hs.integers(1, 6))
+    n = draw(hs.integers(J + 1, 80))
+    z = gen.standard_normal((J, n)) * gen.uniform(0.1, 10.0, (J, 1))
+    z *= draw(hs.sampled_from([1.0, 1e-6]))
+    y1, y2 = gen.standard_normal((2, J)) @ z / np.abs(z).max() + gen.standard_normal((2, n))
+    u = gen.normal(1.0, 1.0, (30, n))
+    u[-1] = 1.0
+    u[-1, 0] = 1.0 - 2.0 * np.sum(z * z) / np.sum(z[:, 0] ** 2)  # z_0'G z_0 < 0
+    return z, y1, y2, u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=profile_cases())
+def test_profile_from_sums_matches_numpy_solve(case):
+    # each row's 2x2 matrix W'G^{-1}W against numpy's solve, where G is
+    # clearly definite; a clearly indefinite G must get a False verdict
+    z, y1, y2, u = case
+    J = len(z)
+    hb11, hb12, hb22, pd = profile_from_sums(u @ profile_features(z, y1, y2), J)
+    y = np.stack([y1, y2], axis=1)
+    for b in range(len(u)):
+        G, W = (z * u[b]) @ z.T, (z * u[b]) @ y
+        d = np.sqrt(np.abs(np.diag(G)))
+        lowest = np.linalg.eigvalsh(G / np.outer(d, d))[0]  # in units free of z's scale
+        if b == len(u) - 1 and J >= 2:
+            assert np.linalg.eigvalsh(G)[-1] > 0 > lowest  # indefinite
+        if lowest < -1e-8 or np.any(np.diag(G) <= 0):
+            assert not pd[b]
+        elif lowest > 1e-6:
+            assert pd[b]
+            M = W.T @ np.linalg.solve(G, W)
+            scale = 1e-9 * (M[0, 0] + M[1, 1])
+            assert abs(hb11[b] - M[0, 0]) <= scale
+            assert abs(hb12[b] - M[0, 1]) <= scale
+            assert abs(hb22[b] - M[1, 1]) <= scale
+
+
+@pytest.mark.parametrize("table", [1, 2, 3, 4])
+def test_engine_quadratics_are_the_kernel_at_unit_weights(table):
+    # the harness's unweighted fast path, one inverse of Z Z' for every
+    # replication, is profile_from_sums at u = 1
+    cfg = table_config(table, reps=50)
+    engine = _Engine(cfg)
+    eps = _gen_errors_batch(cfg.error, cfg.n, cfg.reps, RngStream(table, 0).generator())
+    y1 = cfg.beta_star * engine.x + eps[:, :, 0]
+    y2 = engine.x + eps[:, :, 1]
+    q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+    *hb, pd = profile_from_sums(profile_features(engine.z, y1, y2).sum(axis=1), cfg.q)
+    assert pd.all()
+    for fast, kernel in zip(q, hb):
+        assert np.allclose(fast, kernel, rtol=1e-12, atol=0)
 
 
 def test_profile_is_invariant_to_instrument_units():

@@ -89,6 +89,20 @@ def test_power_identical_across_thread_env(tmp_path, monkeypatch):
     monkeypatch.setenv("IVBOOT_THREADS", "3")
     assert run(argv + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+    f3 = tmp_path / "t3.csv"
+    monkeypatch.setenv("IVBOOT_THREADS", "")  # empty: unset, the default count
+    assert run(argv + ["--out", str(f3)]) == 0
+    assert f1.read_bytes() == f3.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-2"])
+def test_bad_thread_env_exits_one(capsys, monkeypatch, value):
+    monkeypatch.setenv("IVBOOT_THREADS", value)
+    assert run(["power", "--grid", "1:1:1"] + POWER) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: IVBOOT_THREADS must be a positive integer")
+    assert repr(value) in err
 
 
 def test_power_json_format(tmp_path):

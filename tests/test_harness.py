@@ -26,8 +26,14 @@ def small_config(**kw):
     return SimConfig(**base)
 
 
-def test_power_curve_shapes_and_ranges():
-    t = power_curve(small_config(), n_threads=1)
+def _curve(monkeypatch, config, threads):
+    """power_curve on ``threads`` workers, set through IVBOOT_THREADS."""
+    monkeypatch.setenv("IVBOOT_THREADS", str(threads))
+    return power_curve(config)
+
+
+def test_power_curve_shapes_and_ranges(monkeypatch):
+    t = _curve(monkeypatch, small_config(), 1)
     assert t.grid.shape == (3,)
     for name in ("LR", "BLR", "CLR", "AR", "LM"):
         col = t.column(name)
@@ -36,22 +42,22 @@ def test_power_curve_shapes_and_ranges():
     assert t.reps_used == 40
 
 
-def test_power_curve_thread_count_invariant():
+def test_power_curve_thread_count_invariant(monkeypatch):
     cfg = small_config(reps=2 * harness._UNIT + 7)  # three units, the last one short
-    t1 = power_curve(cfg, n_threads=1)
+    t1 = _curve(monkeypatch, cfg, 1)
     for threads in (2, 3):
-        t = power_curve(cfg, n_threads=threads)
+        t = _curve(monkeypatch, cfg, threads)
         for name in ("LR", "BLR", "CLR", "AR", "LM"):
             assert np.array_equal(t1.column(name), t.column(name))
         assert t1.to_csv_text() == t.to_csv_text()
 
 
-def test_power_json_thread_count_invariant_with_redraw_count():
+def test_power_json_thread_count_invariant_with_redraw_count(monkeypatch):
     # at n = 40, q = 3 a few weighted Grams are indefinite: the JSON counts
     # every unit's redraws, and is identical at any thread count
     cfg = small_config(n=40, concentration=40 * 60.0, reps=2 * harness._UNIT + 7,
                        boot_reps=200)
-    texts = [json.dumps(power_curve(cfg, n_threads=k).to_dict(), sort_keys=True)
+    texts = [json.dumps(_curve(monkeypatch, cfg, k).to_dict(), sort_keys=True)
              for k in (1, 2, 3)]
     assert texts[0] == texts[1] == texts[2]
     engine = harness._Engine(cfg)
@@ -60,18 +66,18 @@ def test_power_json_thread_count_invariant_with_redraw_count():
     assert json.loads(texts[0])["blr_redraws"] == redraws
 
 
-def test_power_curve_cell_depends_only_on_its_grid_value():
+def test_power_curve_cell_depends_only_on_its_grid_value(monkeypatch):
     # every draw is shared across the grid, so the other grid values do not
     # change the row at 1.0
-    wide = power_curve(small_config(beta_grid=(0.7, 1.0, 1.3)), n_threads=2)
-    alone = power_curve(small_config(beta_grid=(1.0,)), n_threads=1)
+    wide = _curve(monkeypatch, small_config(beta_grid=(0.7, 1.0, 1.3)), 2)
+    alone = _curve(monkeypatch, small_config(beta_grid=(1.0,)), 1)
     for name in ("LR", "BLR", "CLR", "AR", "LM"):
         assert wide.column(name)[1] == alone.column(name)[0]
 
 
-def test_power_curve_deterministic_rerun():
-    t1 = power_curve(small_config(), n_threads=2)
-    t2 = power_curve(small_config(), n_threads=2)
+def test_power_curve_deterministic_rerun(monkeypatch):
+    t1 = _curve(monkeypatch, small_config(), 2)
+    t2 = _curve(monkeypatch, small_config(), 2)
     assert t1.to_csv_text() == t2.to_csv_text()
 
 
@@ -87,7 +93,7 @@ def test_clr_curve_is_built_once_by_concurrent_workers(monkeypatch):
 
     monkeypatch.setattr(Chebyshev, "interpolate", counting_interpolate)
     benchmark._clr_curve.cache_clear()
-    power_curve(table_config(1, reps=harness._UNIT, boot_reps=100), n_threads=2)
+    _curve(monkeypatch, table_config(1, reps=harness._UNIT, boot_reps=100), 2)
     assert len(builds) == 1
 
 
@@ -101,10 +107,10 @@ def test_power_curve_reuses_its_workers(monkeypatch):
         workers.add(threading.current_thread())
         return sample_unit(engine, unit)
 
-    power_curve(small_config(), n_threads=2)
+    _curve(monkeypatch, small_config(), 2)
     alive = set(threading.enumerate())
     monkeypatch.setattr(harness, "_sample_unit", recording_unit)
-    power_curve(small_config(reps=4 * harness._UNIT), n_threads=2)
+    _curve(monkeypatch, small_config(reps=4 * harness._UNIT), 2)
     assert workers and workers <= alive
 
 
@@ -122,30 +128,30 @@ def test_power_curve_waits_for_its_tasks_when_one_fails(monkeypatch):
     monkeypatch.setattr(harness, "_lr_critical", slow_oracle)
     monkeypatch.setattr(harness, "_sample_unit", failing_unit)
     with pytest.raises(RuntimeError, match="unit failed"):
-        power_curve(small_config(), n_threads=2)
+        _curve(monkeypatch, small_config(), 2)
     assert done == [True]
 
 
-def test_power_curve_u_shape_and_signal():
+def test_power_curve_u_shape_and_signal(monkeypatch):
     # strong signal config: full power at the grid edges, near-level at the null
     cfg = small_config(beta_grid=(0.3, 1.0, 1.7), reps=80)
-    t = power_curve(cfg, n_threads=2)
+    t = _curve(monkeypatch, cfg, 2)
     for name in ("LR", "BLR", "CLR", "AR", "LM"):
         col = t.column(name)
         assert col[0] >= col[1]
         assert col[2] >= col[1]
 
 
-def test_power_increases_with_concentration():
+def test_power_increases_with_concentration(monkeypatch):
     grid = (0.8,)
-    weak = power_curve(small_config(beta_grid=grid, reps=60), n_threads=2)
-    strong = power_curve(small_config(beta_grid=grid, reps=60,
-                                      concentration=80 * 240.0), n_threads=2)
+    weak = _curve(monkeypatch, small_config(beta_grid=grid, reps=60), 2)
+    strong = _curve(monkeypatch, small_config(beta_grid=grid, reps=60,
+                                              concentration=80 * 240.0), 2)
     assert strong.column("LR")[0] >= weak.column("LR")[0]
 
 
-def test_csv_text_layout():
-    t = power_curve(small_config(reps=10, boot_reps=100), n_threads=1)
+def test_csv_text_layout(monkeypatch):
+    t = _curve(monkeypatch, small_config(reps=10, boot_reps=100), 1)
     lines = t.to_csv_text().splitlines()
     assert lines[0] == "offset,LR,BLR,CLR,AR,LM"
     assert len(lines) == 4
@@ -205,7 +211,7 @@ def test_oracle_lr_critical_is_null_quantile(monkeypatch):
 
     monkeypatch.setattr(harness, "_lr_critical", recording)
     cfg = small_config(beta_grid=(0.7, 1.0), reps=400)
-    t = power_curve(cfg, n_threads=2)
+    t = _curve(monkeypatch, cfg, 2)
     # rejection rate of null data against the oracle critical value ~ alpha
     assert 0.01 <= t.column("LR")[1] <= 0.12
     # the scalar oracle is the power curve's LR kernel with a grid of one

@@ -13,11 +13,14 @@ from scipy.stats import ks_2samp
 
 from ivboot import GeneralDesign, RngStream
 from ivboot.benchmark import (
+    _top_eigvec_2x2,
     ams_blr_statistic,
     ams_lr_statistic,
     ar_from,
+    blr_values,
     clr_critical_values,
     lm_from,
+    profile_features,
     profile_sup,
     st_quadratics,
     st_vectors,
@@ -28,8 +31,8 @@ from ivboot.benchmark import (
 )
 from ivboot.bootstrap import (RetryDrawError, boot_loglik, boot_quantile, check_redraws,
                               empirical_upper_quantile, sum_law)
-from ivboot.harness import (TABLE_SPECS, _UNIT, _blr_quantiles, _blr_values, _Engine,
-                            _sample_unit, power_curve, table_config)
+from ivboot.harness import (TABLE_SPECS, _UNIT, _blr_quantiles, _Engine, _sample_unit,
+                            power_curve, table_config)
 from ivboot.quasilik import (lr_features, loglik, mle, projector_split, restricted_mle, t_lr,
                              weighted_lr)
 from ivboot.simgen import ERROR_KINDS, ErrorSpec, _gen_errors_batch, gen_errors, gen_sample
@@ -51,6 +54,39 @@ def _batch_of_one(cfg, sample):
     engine = _Engine(cfg)
     y1, y2 = sample.y1[None], sample.y2[None]
     return engine, y1, y2, engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+
+
+def _harness_statistic(engine, q):
+    """The harness's BLR statistic of sum rows (R', m, d) of the
+    replications in slice r, centred at the top eigenvector of each
+    replication's unweighted matrix q."""
+    _, vx, vy = _top_eigvec_2x2(*q)
+    return lambda sums, r=slice(None): blr_values(sums, engine.config.q, vx[r, None], vy[r, None])
+
+
+def reference_center(sample):
+    """The full-sample profile maximizer: the top eigenvector (b, 1) of
+    W'(ZZ')^{-1}W, W = Z (y1, y2), from numpy's solve and eigh."""
+    z, y = sample.z, np.stack([sample.y1, sample.y2], axis=1)
+    _, vecs = np.linalg.eigh(y.T @ z.T @ np.linalg.solve(z @ z.T, z @ y))
+    return vecs[0, 1] / vecs[1, 1]
+
+
+def reference_blr(sample, u, center):
+    """The BLR statistic of one weight vector u on the t_clr scale, beta
+    fixed at ``center``: 2 (top eigenvalue of M - d'M d / d'd), d = (center,
+    1), M = W'G^{-1}W with G = Z diag(u) Z' and W = Z diag(u) (y1, y2), from
+    numpy's solve and eigvalsh.  Raises RetryDrawError when numpy's
+    Cholesky rejects G."""
+    z, y = sample.z, np.stack([sample.y1, sample.y2], axis=1)
+    G, W = (z * u) @ z.T, (z * u) @ y
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        raise RetryDrawError("weighted instrument Gram matrix is not positive definite") from None
+    M = W.T @ np.linalg.solve(G, W)
+    d = np.array([center, 1.0])
+    return 2.0 * (np.linalg.eigvalsh(M)[-1] - d @ M @ d / (d @ d))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -100,15 +136,16 @@ def _weights_quantile(engine, y1, y2, q, block, redraw):
     vectors: each row u of ``block`` (B, n) gives the sums F'u, then the
     profile from sums, and a rejected row is replaced in draw order by
     redraw.normal(1, 1, n) vectors until one is accepted."""
-    F = engine.sum_features(y1, y2)
-    values, pd = _blr_values(engine, np.matmul(block[None], F), *q)
+    F = profile_features(engine.z, y1, y2)
+    statistic = _harness_statistic(engine, q)
+    values, pd = statistic(np.matmul(block[None], F))
     n_redrawn = 0
     for b in np.flatnonzero(~pd[0]):
         ok = [False]
         while not ok[0]:
             n_redrawn += 1
             u = redraw.normal(1.0, 1.0, (1, 1, engine.config.n))
-            value, ok = _blr_values(engine, np.matmul(u, F), *q)
+            value, ok = statistic(np.matmul(u, F))
         values[0, b] = value[0, 0]
     return empirical_upper_quantile(values[0], engine.config.alpha), n_redrawn
 
@@ -119,14 +156,16 @@ def test_blr_batch_of_one_matches_scalar_loop(seed, kind):
     cfg = _config(seed, kind, boot_reps=200)
     sample = gen_sample(cfg, rng=cfg.rng())
     gen = RngStream(seed, 1).generator()
-    beta_tilde, _ = profile_sup(sample)
+    beta_tilde = reference_center(sample)
     block = gen.normal(1.0, 1.0, (cfg.boot_reps, cfg.n))
-    loop = [ams_blr_statistic(sample, u, center=beta_tilde) for u in block]
+    loop = np.array([reference_blr(sample, u, beta_tilde) for u in block])
     engine, y1, y2, q = _batch_of_one(cfg, sample)
     crit, n_retries = _weights_quantile(engine, y1, y2, q, block, gen)
     assert n_retries == 0
-    assert crit == pytest.approx(empirical_upper_quantile(np.array(loop), cfg.alpha),
-                                 rel=1e-10)
+    assert crit == pytest.approx(empirical_upper_quantile(loop, cfg.alpha), rel=1e-10)
+    # the scalar API is the kernel's batch of one, at its default centre
+    scalar = np.array([ams_blr_statistic(sample, u) for u in block[:20]])
+    assert np.allclose(scalar, loop[:20], rtol=1e-8, atol=1e-8)
 
 
 class _FirstBlock:
@@ -148,14 +187,15 @@ def _in_place_quantiles(engine, y1, y2, q, block, gen):
     of ``block`` (R, B, k) under each replication's law, and each rejected
     draw (r, b), in order, redrawn in place from one gen.standard_normal(k)
     row at a time until it is accepted."""
-    mean, factor = sum_law(engine.sum_features(y1, y2))
-    values, ok = _blr_values(engine, np.matmul(block, factor) + mean[:, None], *q)
+    mean, factor = sum_law(profile_features(engine.z, y1, y2))
+    statistic = _harness_statistic(engine, q)
+    values, ok = statistic(np.matmul(block, factor) + mean[:, None])
     n_redrawn = 0
     for r, b in zip(*np.nonzero(~ok)):
         while not ok[r, b]:
             n_redrawn += 1
             sums = mean[r] + gen.standard_normal(factor.shape[1]) @ factor[r]
-            value, verdict = _blr_values(engine, sums[None, None], *(x[r:r + 1] for x in q))
+            value, verdict = statistic(sums[None, None], slice(r, r + 1))
             values[r, b], ok[r, b] = value[0, 0], verdict[0, 0]
     return empirical_upper_quantile(values, engine.config.alpha), n_redrawn
 
@@ -174,7 +214,7 @@ def test_blr_redraws_are_counted(n_bad, reps):
     block = gen.standard_normal((reps, cfg.boot_reps, 25))
     # with F = QR, the normal draw -2 Q'1 gives the sums of the weights u = -1:
     # the weighted Gram matrix -Z Z' is negative definite
-    Q, _ = np.linalg.qr(engine.sum_features(y1[-1:], y2[-1:])[0])
+    Q, _ = np.linalg.qr(profile_features(engine.z, y1[-1:], y2[-1:])[0])
     block[-1, 17:17 + n_bad] = -2.0 * Q.sum(axis=0)
     if n_bad > 2:
         with pytest.raises(RuntimeError, match="too many indefinite"):
@@ -212,12 +252,12 @@ def test_blr_redraws_every_indefinite_gram():
     block = np.insert(block, 17, bad, axis=0)
 
     redraw = np.random.default_rng(12)
-    beta_tilde, _ = profile_sup(sample)
+    beta_tilde = reference_center(sample)
     loop, n_redrawn = [], 0
     for u in block:
         while True:
             try:
-                loop.append(ams_blr_statistic(sample, u, center=beta_tilde))
+                loop.append(reference_blr(sample, u, beta_tilde))
                 break
             except RetryDrawError:
                 n_redrawn += 1
@@ -240,7 +280,7 @@ def _harness_sums(n, reps, seed):
     y1 = cfg.beta_star * engine.x[None, :] + eps[:, :, 0]
     y2 = engine.x[None, :] + eps[:, :, 1]
     q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
-    return engine.sum_features(y1, y2), lambda sums: _blr_values(engine, sums, *q)
+    return profile_features(engine.z, y1, y2), _harness_statistic(engine, q)
 
 
 def _quasilik_sums(n, reps, seed):

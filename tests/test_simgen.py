@@ -60,9 +60,14 @@ def test_gen_errors_hetero_periodic_variance_band():
 
 
 def test_gen_sample_noiseless_structural_identity():
+    # without its errors the sample is exactly y1 = beta* x, y2 = x; the
+    # errors are gen_errors on the config's own stream, the default one
     cfg = SimConfig(n=100, q=3, concentration=4.0, beta_star=1.4, beta_grid=(1.4,))
-    s = gen_sample(cfg, noiseless=True)
-    assert np.allclose(s.y1, 1.4 * s.y2)
+    s = gen_sample(cfg)
+    eps = gen_errors(cfg.error, cfg.n, cfg.rng())
+    x = s.z.T @ gen_pi(s.z, cfg.concentration)
+    assert np.allclose(s.y1 - 1.4 * x, eps[:, 0], rtol=0, atol=1e-12)
+    assert np.allclose(s.y2 - x, eps[:, 1], rtol=0, atol=1e-12)
 
 
 def test_gen_sample_reconstruction_identity():
