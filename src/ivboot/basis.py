@@ -7,6 +7,17 @@ from typing import Optional, Union
 
 import numpy as np
 
+# Bytes of random draws that a large Monte Carlo draw holds at once: the LR
+# null and the multiplier bootstraps walk their streams in chunks of it.
+DRAW_BUDGET = 1 << 20
+
+
+def chunk_rows(row_bytes: int) -> int:
+    """Draw rows of ``row_bytes`` bytes each in one chunk: as many as fit in
+    DRAW_BUDGET, at least one."""
+    return max(1, DRAW_BUDGET // row_bytes)
+
+
 @dataclass(frozen=True)
 class SampleTruth:
     """Structural parameters used to generate a synthetic sample."""

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import GeneralDesign, as_generator
+from .basis import GeneralDesign, as_generator, chunk_rows
 from . import quasilik
 
 MAX_RETRY_FRACTION = 0.01
@@ -160,16 +160,30 @@ def multiplier_bootstrap(law, n_boot: int, statistic, gen: np.random.Generator):
     number of draws redrawn.  ``statistic(sums, r)`` gives the values and
     verdicts of sum rows (R', m, d) of the bootstraps in slice r.
 
-    One (R, n_boot, k) normal block is drawn.  Then, bootstrap by bootstrap,
-    the draws with a False verdict are redrawn as one block until n_boot
-    are kept, in draw order: the normals and draws that a draw-by-draw loop
-    keeps.  Each bootstrap is one under check_redraws.
+    The first (R, n_boot, k) normal block is drawn in C order, a chunk at
+    a time, each chunk evaluated before the next is drawn: as many whole
+    bootstraps as chunk_rows(8 k) draws hold, or one bootstrap, whose
+    statistic then takes pieces of chunk_rows(8 k) sum rows, as
+    statistic(sums[None], slice(r, r + 1)).  A bootstrap's normals still
+    meet its factor in one product: BLAS rounds a row of a product
+    differently with the number of rows.  After the whole first block,
+    bootstrap by bootstrap, the draws with a False verdict are redrawn as
+    one block until n_boot are kept, in draw order: the normals and draws
+    that a draw-by-draw loop keeps.  Each bootstrap is one under
+    check_redraws.
     """
     mean, factor = law
     R, k = factor.shape[:2]
-    sums = np.matmul(gen.standard_normal((R, n_boot, k)), factor)
-    sums += mean[:, None]
-    values, ok = statistic(sums, slice(None))
+    values = np.empty((R, n_boot))
+    ok = np.empty((R, n_boot), dtype=bool)
+    rows = chunk_rows(8 * k)
+    per_chunk = max(1, rows // n_boot)
+    for r0 in range(0, R, per_chunk):
+        r = slice(r0, min(r0 + per_chunk, R))
+        sums = np.matmul(gen.standard_normal((r.stop - r0, n_boot, k)), factor[r])
+        sums += mean[r, None]
+        for b in range(0, n_boot, rows):
+            values[r, b:b + rows], ok[r, b:b + rows] = statistic(sums[:, b:b + rows], r)
     n_redrawn = 0
     for r in np.flatnonzero(~ok.all(axis=1)):
         kept, redraws = [values[r, ok[r]]], 0

@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .basis import RngStream, cosine_design
+from .basis import RngStream, chunk_rows, cosine_design
 from .benchmark import (_top_eigvec_2x2, ar_from, blr_values, chi2_ppf, clr_critical_values,
                         lm_from, profile_features, st_quadratics, tclr_from)
 from .bootstrap import empirical_upper_quantile, multiplier_bootstrap, sum_law
@@ -27,8 +27,9 @@ CSV_HEADER = ("offset",) + TEST_NAMES
 _SAMPLE, _NULL = 0, 1
 # Replications per unit of parallel work.  Fixed, because units key the
 # sample streams; small, so that a few hundred replications still keep every
-# worker busy.  A unit's bootstrap sums (_UNIT x boot_reps x 25 doubles at
-# q = 5) are its largest array.
+# worker busy.  A unit holds its bootstrap draws a chunk at a time (see
+# bootstrap.multiplier_bootstrap); its features (_UNIT x n x 25 doubles at
+# q = 5) and bootstrap values (_UNIT x boot_reps doubles) are held whole.
 _UNIT = 25
 _NULL_BLOCK = 2500  # null simulations per error-draw block
 
@@ -155,9 +156,12 @@ def load_reference_table(reference_id: int):
 
 def max_threads() -> int:
     """The worker count of power_curve: IVBOOT_THREADS, a positive integer,
-    or when it is unset or empty the CPU count, at most 4."""
+    or when it is unset or empty the number of CPUs this process may run on
+    (its affinity mask where the platform has one), at most 4."""
     env = os.environ.get("IVBOOT_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return min(4, len(os.sched_getaffinity(0)))
         return min(4, os.cpu_count() or 1)
     if not (env.isascii() and env.isdigit()) or int(env) < 1:
         raise ValueError(f"IVBOOT_THREADS must be a positive integer, got {env!r}")
@@ -194,8 +198,8 @@ def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen):
     the t_clr scale, so t_clr > quantile is exactly the J + z*sqrt(J)
     rule.  A draw sees its N(1, 1) weights only through its sums over
     ``profile_features``, which bootstrap.multiplier_bootstrap draws, one
-    bootstrap per replication, in a first block of (R, boot_reps, k)
-    normals; so callers pass at most one unit of replications.
+    bootstrap per replication, in chunks of a first block of
+    (R, boot_reps, k) normals.
     """
     _, vx, vy = _top_eigvec_2x2(q11, q12, q22)
     values, redraws = multiplier_bootstrap(
@@ -234,16 +238,26 @@ def _lr_critical(engine: _Engine, grid, law: ErrorSpec) -> np.ndarray:
     The null errors, under ``law``, are drawn once for the whole grid, in
     blocks with streams (_NULL, block), and kept only through their
     instrument projections Z e1, Z e2; the data at v then project to
-    v Z x + Z e1 and Z x + Z e2.
+    v Z x + Z e1 and Z x + Z e2.  A block's stream is walked in chunks of
+    chunk_rows(16 n) samples, whose e1 and e2 go to the block's two
+    (block, n) buffers; each block is then projected in one product, since
+    BLAS rounds a row of a product differently with the number of rows.
     """
     cfg = engine.config
     ze1 = np.empty((N_NULL_SIMS, cfg.q))
     ze2 = np.empty((N_NULL_SIMS, cfg.q))
+    e1 = np.empty((_NULL_BLOCK, cfg.n))
+    e2 = np.empty((_NULL_BLOCK, cfg.n))
+    step = chunk_rows(16 * cfg.n)
     for block, lo in enumerate(range(0, N_NULL_SIMS, _NULL_BLOCK)):
+        gen = _stream(cfg, _NULL, block)
         m = min(_NULL_BLOCK, N_NULL_SIMS - lo)
-        eps = _gen_errors_batch(law, cfg.n, m, _stream(cfg, _NULL, block))
-        ze1[lo:lo + m] = eps[:, :, 0] @ engine.z.T
-        ze2[lo:lo + m] = eps[:, :, 1] @ engine.z.T
+        for a in range(0, m, step):
+            b = min(a + step, m)
+            eps = _gen_errors_batch(law, cfg.n, b - a, gen)
+            e1[a:b], e2[a:b] = eps[:, :, 0], eps[:, :, 1]
+        ze1[lo:lo + m] = e1[:m] @ engine.z.T
+        ze2[lo:lo + m] = e2[:m] @ engine.z.T
     zx = engine.z @ engine.x
     crit = np.empty(len(grid))
     for i, v in enumerate(grid):
@@ -294,8 +308,11 @@ def _pool(n_threads: int, pid: int) -> ThreadPoolExecutor:
     life of process ``pid`` (a forked child builds its own).  A pool per
     call would start new threads on every call, and glibc gives a thread
     that starts while a joined worker is still exiting a new malloc arena;
-    each such arena keeps about 13 MB of freed arrays resident, so a
-    process's peak RSS would step up at random over its calls."""
+    each such arena keeps freed arrays resident, so a process's peak RSS
+    would step up at random over its calls.  The step was about 13 MB when
+    each draw was one block; glibc keeps up to about twice the largest
+    freed array at an arena's top, and the chunked draws free at most
+    4 MB arrays at n = 200."""
     initializer = _one_blas_thread if n_threads > 1 else None
     return ThreadPoolExecutor(max_workers=n_threads, initializer=initializer)
 

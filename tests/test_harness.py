@@ -1,12 +1,15 @@
 import json
+import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev
 
-from ivboot import ErrorSpec, SimConfig, benchmark, harness
+from ivboot import ErrorSpec, SimConfig, basis, benchmark, harness
+from ivboot.cli import run
 from ivboot.harness import (
     PowerTable,
     TABLE_SPECS,
@@ -218,3 +221,92 @@ def test_oracle_lr_critical_is_null_quantile(monkeypatch):
     curve_crits = seen[0]
     for v, crit in zip(cfg.beta_grid, curve_crits):
         assert oracle_lr_critical(cfg, v) == crit
+
+
+# a chunk of one draw row or null sample, and one chunk for every block
+BUDGETS = (1, 1 << 40)
+
+
+def _units(cfg):
+    engine = harness._Engine(cfg)
+    n_units = (cfg.reps + harness._UNIT - 1) // harness._UNIT
+    return [harness._sample_unit(engine, u) for u in range(n_units)]
+
+
+def test_sample_units_do_not_depend_on_the_draw_budget(monkeypatch):
+    # n = 40, q = 3: each draw is k = 12 normals, and 8 draws are redrawn;
+    # also pieces of 7 draws, the last one short, and 3 bootstraps a chunk
+    cfg = small_config(n=40, concentration=40 * 60.0, reps=2 * harness._UNIT + 7,
+                       boot_reps=200)
+    expected = _units(cfg)
+    assert sum(unit[4] for unit in expected) == 8
+    for budget in BUDGETS + (8 * 12 * 7, 8 * 12 * 200 * 3):
+        monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
+        for got, want in zip(_units(cfg), expected):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_bootstrap_abort_does_not_depend_on_the_draw_budget(monkeypatch, capsys):
+    argv = ["test", "--n", "30", "--q", "5", "--seed", "1"]
+    assert run(argv) == 1
+    expected = capsys.readouterr().err
+    assert "bootstrap aborted" in expected
+    for budget in BUDGETS:
+        monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("kind", ["gauss", "laplace", "hetero_linear", "hetero_periodic"])
+def test_lr_null_does_not_depend_on_the_draw_budget(monkeypatch, kind):
+    cfg = small_config(n=40, error=ErrorSpec(kind, np.array([[1.5, 0.4], [0.4, 0.7]])))
+    engine = harness._Engine(cfg)
+    expected = harness._lr_critical(engine, cfg.beta_grid, cfg.error)
+    for budget in BUDGETS + (16 * cfg.n * 7,):  # also chunks of 7 samples, the last short
+        monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
+        got = harness._lr_critical(engine, cfg.beta_grid, cfg.error)
+        assert got.tobytes() == expected.tobytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unit_memory_is_bounded_in_boot_reps():
+    # a unit holds its (25, B) values and one bootstrap's normals and sums
+    # (B x 25 doubles each), not a (25, B, 25) block: 218 MB at B = 20 000,
+    # 16 MB now
+    engine = harness._Engine(table_config(1, reps=harness._UNIT, boot_reps=20_000))
+    assert _traced_peak(lambda: harness._sample_unit(engine, 0)) < 20 * 2**20
+
+
+def test_lr_null_memory_is_one_block_of_projections():
+    # the null holds one block's e1 and e2 (2 x 2500 x n doubles), a chunk
+    # of draws and the (10 000, q) projections, not 2500 samples' draws and
+    # their copies: 230 MB at n = 2000, 80 MB now
+    cfg = SimConfig(n=2000, q=5, concentration=2000 * 4.0)
+    engine = harness._Engine(cfg)
+    block = 2 * harness._NULL_BLOCK * cfg.n * 8
+    peak = _traced_peak(lambda: harness._lr_critical(engine, (1.0,), cfg.error))
+    assert peak < block + 8 * basis.DRAW_BUDGET
+
+
+def test_max_threads_counts_the_cpus_of_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("IVBOOT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert harness.max_threads() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    assert harness.max_threads() == 4
+    monkeypatch.setenv("IVBOOT_THREADS", "3")  # the variable comes first
+    assert harness.max_threads() == 3
+    monkeypatch.delenv("IVBOOT_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity mask
+    assert harness.max_threads() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert harness.max_threads() == 2

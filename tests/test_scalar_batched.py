@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.stats import ks_2samp
 
-from ivboot import GeneralDesign, RngStream
+from ivboot import GeneralDesign, RngStream, basis
 from ivboot.benchmark import (
     _top_eigvec_2x2,
     ams_blr_statistic,
@@ -484,3 +484,28 @@ def test_boot_quantile_is_the_sequential_redraw_loop(n, n_instruments, n_boot, s
     assert retries > 0
     assert run.n_retries == retries
     assert np.allclose(run.t_blr_samples, samples, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, seed, expected_redraws", [(50, 3, 8), (30, 2, None)])  # None: aborts
+def test_boot_quantile_does_not_depend_on_the_draw_budget(monkeypatch, n, seed,
+                                                           expected_redraws):
+    # a chunk of one draw row, of 7 rows (a short last piece), and one chunk
+    # for the whole block: the same samples, redraw count or abort message
+    design = random_cosine_design(n, RngStream(seed, 0).generator(), n_instruments=1)
+
+    def outcome():
+        try:
+            run = boot_quantile(design, H0_PROJECTOR, 1000, 0.05, RngStream(seed, 1))
+        except RuntimeError as exc:
+            return str(exc)
+        return run.t_blr_samples.tobytes(), run.n_retries, run.z_star_alpha
+
+    expected = outcome()
+    if expected_redraws is None:
+        assert expected.startswith("bootstrap aborted")
+    else:
+        assert expected[1] == expected_redraws
+    k = len(sum_law(lr_features(design, H0_PROJECTOR, mle(design))[0])[1])
+    for budget in (1, 7 * 8 * k, 1 << 40):
+        monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
+        assert outcome() == expected
