@@ -7,8 +7,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-# Bytes of random draws that a large Monte Carlo draw holds at once: the LR
-# null and the multiplier bootstraps walk their streams in chunks of it.
+# Bytes of draws that a large Monte Carlo draw holds at once: the LR null
+# walks its stream in chunks of it, and the multiplier bootstraps form their
+# sums in chunks of it.
 DRAW_BUDGET = 1 << 20
 
 

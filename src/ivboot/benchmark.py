@@ -16,7 +16,8 @@ import numpy as np
 
 from .basis import GeneralDesign, IvSample
 from .bootstrap import RetryDrawError
-from .quasilik import SingularNuisanceError, _inv_sqrt_psd, packed_cholesky_solve
+from .quasilik import (SingularNuisanceError, _coordinate_dot, _inv_sqrt_psd,
+                       packed_cholesky_solve)
 
 
 @dataclass(frozen=True)
@@ -269,17 +270,17 @@ def profile_from_sums(sums, J: int):
 
     The sums hold the packed upper triangle of G = Z diag(u) Z', then
     W = Z diag(u) (y1, y2).  hb = W' G^{-1} W = A'A with A = C'^{-1} W from
-    the Cholesky factor G = C'C of ``quasilik.packed_cholesky_solve``.  The
-    verdict says whether G is positive definite.  The hb of a row that
-    fails is finite but meaningless.  Returns hb11, hb12, hb22 and the
+    the Cholesky factor G = C'C of ``quasilik.packed_cholesky_solve``, run
+    on the transposed rows, one contiguous row per coordinate; each entry
+    of A'A is summed over the J coordinates in order.  The verdict says
+    whether G is positive definite.  The hb of a row that fails is
+    meaningless, and may be infinite.  Returns hb11, hb12, hb22 and the
     verdict, each shaped sums.shape[:-1].
     """
     n_gram = J * (J + 1) // 2
-    flat = sums.reshape(-1, n_gram + 2 * J)
-    a, pd = packed_cholesky_solve(flat[:, :n_gram], flat[:, n_gram:].reshape(-1, 2, J))
-    hb11 = np.einsum("mj,mj->m", a[:, 0], a[:, 0])
-    hb12 = np.einsum("mj,mj->m", a[:, 0], a[:, 1])
-    hb22 = np.einsum("mj,mj->m", a[:, 1], a[:, 1])
+    rows = np.ascontiguousarray(sums.reshape(-1, n_gram + 2 * J).T)  # coordinate-major
+    (a1, a2), pd = packed_cholesky_solve(rows[:n_gram], rows[n_gram:].reshape(2, J, -1))
+    hb11, hb12, hb22 = _coordinate_dot(a1, a1), _coordinate_dot(a1, a2), _coordinate_dot(a2, a2)
     return tuple(x.reshape(sums.shape[:-1]) for x in (hb11, hb12, hb22, pd))
 
 
@@ -331,10 +332,16 @@ def ams_profile_loglik(sample: IvSample, beta: float,
     return -0.5 * (C_u - float(d @ M @ d) / float(d @ d))
 
 
+def _top_eigval_2x2(h11, h12, h22):
+    """Top eigenvalue of the symmetric 2x2 matrices [[h11, h12], [h12, h22]],
+    elementwise over arrays."""
+    return 0.5 * (h11 + h22) + np.sqrt(0.25 * (h11 - h22) ** 2 + h12 ** 2)
+
+
 def _top_eigvec_2x2(h11, h12, h22):
     """Top eigenvalue and unit eigenvector (vx, vy) of the symmetric 2x2
     matrices [[h11, h12], [h12, h22]], elementwise over arrays."""
-    lmax = 0.5 * (h11 + h22) + np.sqrt(0.25 * (h11 - h22) ** 2 + h12 ** 2)
+    lmax = _top_eigval_2x2(h11, h12, h22)
     # of the two forms of the eigenvector, take the one free of cancellation
     upper = h11 >= h22
     vx = np.where(upper, lmax - h22, h12)
@@ -351,7 +358,7 @@ def blr_values(sums, J: int, vx, vy):
     sums.shape[:-1], gives 2 (top eigenvalue of hb - hb at that direction).
     """
     hb11, hb12, hb22, pd = profile_from_sums(sums, J)
-    lmax_b, _, _ = _top_eigvec_2x2(hb11, hb12, hb22)
+    lmax_b = _top_eigval_2x2(hb11, hb12, hb22)
     gb = vx * vx * hb11 + 2 * vx * vy * hb12 + vy * vy * hb22
     return 2.0 * (lmax_b - gb), pd
 

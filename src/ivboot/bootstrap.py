@@ -160,27 +160,32 @@ def multiplier_bootstrap(law, n_boot: int, statistic, gen: np.random.Generator):
     number of draws redrawn.  ``statistic(sums, r)`` gives the values and
     verdicts of sum rows (R', m, d) of the bootstraps in slice r.
 
-    The first (R, n_boot, k) normal block is drawn in C order, a chunk at
-    a time, each chunk evaluated before the next is drawn: as many whole
-    bootstraps as chunk_rows(8 k) draws hold, or one bootstrap, whose
-    statistic then takes pieces of chunk_rows(8 k) sum rows, as
-    statistic(sums[None], slice(r, r + 1)).  A bootstrap's normals still
-    meet its factor in one product: BLAS rounds a row of a product
-    differently with the number of rows.  After the whole first block,
-    bootstrap by bootstrap, the draws with a False verdict are redrawn as
-    one block until n_boot are kept, in draw order: the normals and draws
-    that a draw-by-draw loop keeps.  Each bootstrap is one under
-    check_redraws.
+    One (n_boot, k) block z of normals is drawn first and shared by the R
+    bootstraps: bootstrap r's sums are mean[r] + z factor[r], so each
+    bootstrap has the law it would have alone, and the R bootstraps are
+    common random numbers.  The sums are formed for as many whole
+    bootstraps as chunk_rows(16 d) draws hold (a draw's d sums and the
+    statistic's coordinate-major copy of them), or for one bootstrap,
+    whose statistic then takes pieces of chunk_rows(16 d) sum rows, as
+    statistic(sums[None], slice(r, r + 1)); each piece is evaluated
+    before the next is formed.  z meets each factor in one (n_boot, k) x
+    (k, d) product: BLAS rounds a row of a product differently with the
+    number of rows.  After the block, bootstrap by bootstrap, the draws
+    with a False verdict are redrawn as one block on the same stream
+    until n_boot are kept, in draw order: the normals and draws that a
+    draw-by-draw loop keeps.  Each bootstrap is one under check_redraws.
+    With R = 1 this consumes the stream of a lone bootstrap.
     """
     mean, factor = law
-    R, k = factor.shape[:2]
+    R, k, d = factor.shape
     values = np.empty((R, n_boot))
     ok = np.empty((R, n_boot), dtype=bool)
-    rows = chunk_rows(8 * k)
+    z = gen.standard_normal((n_boot, k))
+    rows = chunk_rows(16 * d)
     per_chunk = max(1, rows // n_boot)
     for r0 in range(0, R, per_chunk):
         r = slice(r0, min(r0 + per_chunk, R))
-        sums = np.matmul(gen.standard_normal((r.stop - r0, n_boot, k)), factor[r])
+        sums = z @ factor[r]
         sums += mean[r, None]
         for b in range(0, n_boot, rows):
             values[r, b:b + rows], ok[r, b:b + rows] = statistic(sums[:, b:b + rows], r)

@@ -130,12 +130,11 @@ def run_all_tests_once(config: SimConfig, beta0: float) -> list:
     outcomes.append(TestOutcome("CLR", stat, clr_crit, stat > clr_crit,
                                 {"t_norm2": tt}))
 
+    ar_crit, lm_crit = harness._ar_lm_critical(config)
     ar = benchmark.ar_from(ss, config.q)
-    ar_crit = benchmark.chi2_ppf(1 - config.alpha, config.q) / config.q
     outcomes.append(TestOutcome("AR", ar, ar_crit, ar > ar_crit, {}))
 
     lm = benchmark.lm_from(tt, st)
-    lm_crit = benchmark.chi2_ppf(1 - config.alpha, 1)
     outcomes.append(TestOutcome("LM", lm, lm_crit, lm > lm_crit, {}))
     return outcomes
 

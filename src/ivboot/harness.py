@@ -26,10 +26,12 @@ CSV_HEADER = ("offset",) + TEST_NAMES
 # stream roles: every stream of a power curve has the spawn key (role, unit)
 _SAMPLE, _NULL = 0, 1
 # Replications per unit of parallel work.  Fixed, because units key the
-# sample streams; small, so that a few hundred replications still keep every
-# worker busy.  A unit holds its bootstrap draws a chunk at a time (see
-# bootstrap.multiplier_bootstrap); its features (_UNIT x n x 25 doubles at
-# q = 5) and bootstrap values (_UNIT x boot_reps doubles) are held whole.
+# sample streams and the bootstrap normals that a unit's replications share;
+# small, so that a few hundred replications still keep every worker busy.
+# A unit holds one boot_reps x 25 block of normals (at q = 5) and forms its
+# bootstrap sums a chunk at a time (see bootstrap.multiplier_bootstrap); its
+# features (_UNIT x n x 25 doubles) and bootstrap values (_UNIT x boot_reps
+# doubles) are held whole.
 _UNIT = 25
 _NULL_BLOCK = 2500  # null simulations per error-draw block
 
@@ -198,8 +200,12 @@ def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen):
     the t_clr scale, so t_clr > quantile is exactly the J + z*sqrt(J)
     rule.  A draw sees its N(1, 1) weights only through its sums over
     ``profile_features``, which bootstrap.multiplier_bootstrap draws, one
-    bootstrap per replication, in chunks of a first block of
-    (R, boot_reps, k) normals.
+    bootstrap per replication, all from one shared (boot_reps, k) block of
+    normals: each replication's bootstrap has its own law, and the
+    replications of a call are common random numbers.  The weighted Gram
+    part of a draw's sums comes from the instruments alone, so it is the
+    same for every replication: a draw that fails for one fails for all,
+    and each replication redraws it on its own.
     """
     _, vx, vy = _top_eigvec_2x2(q11, q12, q22)
     values, redraws = multiplier_bootstrap(
@@ -271,6 +277,13 @@ def _clr_critical_curve(tt: np.ndarray, q: int, alpha: float) -> np.ndarray:
     """Conditional critical value of each replication's t_clr given its
     ||T||^2: the CLR layer of the power curve."""
     return clr_critical_values(tt, q, alpha)
+
+
+def _ar_lm_critical(config: SimConfig) -> tuple[float, float]:
+    """Critical values of the AR statistic, the chi-square(q)/q quantile,
+    and of the LM statistic, the chi-square(1) quantile, at level alpha."""
+    return (chi2_ppf(1 - config.alpha, config.q) / config.q,
+            chi2_ppf(1 - config.alpha, 1))
 
 
 def oracle_lr_critical(config: SimConfig, beta0: float) -> float:
@@ -347,9 +360,7 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     try:
         *sample, redraws = zip(*(f.result() for f in unit_futs))
         sample = [np.concatenate(p) for p in sample]
-        ar_crit = chi2_ppf(1 - cfg.alpha, cfg.q) / cfg.q
-        lm_crit = chi2_ppf(1 - cfg.alpha, 1)
-        rates_fn = functools.partial(_grid_rates, engine, sample, ar_crit, lm_crit)
+        rates_fn = functools.partial(_grid_rates, engine, sample, *_ar_lm_critical(cfg))
         rate_futs = [ex.submit(rates_fn, v, c) for v, c in zip(cfg.beta_grid, lr_fut.result())]
         futs += rate_futs
         rates = [f.result() for f in rate_futs]

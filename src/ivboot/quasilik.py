@@ -111,36 +111,51 @@ PD_RTOL = 1e-12
 
 
 def packed_cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
-    """Batched Cholesky solve with a positive-definiteness verdict per row.
+    """Batched Cholesky solve with a positive-definiteness verdict per
+    batch entry, coordinate-major: every array holds one (m,) row per
+    coordinate, over the m entries of the batch.
 
-    ``gram`` (m, J(J+1)/2) holds the upper triangle of each symmetric G row
-    by row (numpy.triu_indices order) and ``rhs`` is (m, c, J).  G = C'C is
-    factored by a J-step loop vectorized over the m rows.  Returns
-    A = C'^{-1} rhs, shaped (m, c, J), and the verdict: every pivot of the
-    factorization exceeds PD_RTOL times G's own diagonal entry.  This is
-    the package's one rule for "G is positive definite".  It is unchanged
-    by G -> DGD for a positive diagonal D, so the units of the variables do
-    not matter; a zero or negative diagonal entry fails, since no pivot
-    exceeds its diagonal entry.  The A of a row that fails is finite but
-    meaningless.
+    ``gram`` (J(J+1)/2, m) holds the upper triangle of each symmetric G
+    entry by entry (numpy.triu_indices order) and ``rhs`` is (c, J, m).
+    G = C'C is factored by a J-step loop whose every operation is on
+    contiguous (m,) rows.  Returns A = C'^{-1} rhs, shaped (c, J, m), and
+    the verdict: every pivot of the factorization exceeds PD_RTOL times
+    G's own diagonal entry.  This is the package's one rule for "G is
+    positive definite".  It is unchanged by G -> DGD for a positive
+    diagonal D, so the units of the variables do not matter; a zero or
+    negative diagonal entry fails, since no pivot exceeds its diagonal
+    entry.  The A of an entry that fails is meaningless: after the failing
+    pivot its entries grow without bound, and can overflow.
     """
-    m, c, J = rhs.shape
-    crow = []  # crow[i] = C[i, i:], row i of the Cholesky factor
-    a = np.empty((m, c, J))  # a[:, :, k] = row k of A
+    c, J, m = rhs.shape
+    crow = []  # crow[i] = C[i, i:], row i of the Cholesky factor, (J - i, m)
+    a = np.empty((c, J, m))  # a[:, k] = row k of A
     pd = np.ones(m, dtype=bool)
     for k in range(J):
         start = k * J - k * (k - 1) // 2  # row k of G, from its diagonal on
-        g = gram[:, start:start + J - k]
-        wk = rhs[:, :, k]
+        g = gram[start:start + J - k]
+        wk = rhs[:, k]
         for i in range(k):
-            cik = crow[i][:, k - i, None]
-            g = g - cik * crow[i][:, k - i:]
-            wk = wk - cik * a[:, :, i]
-        pd &= g[:, 0] > PD_RTOL * gram[:, start]
-        piv = np.sqrt(np.where(pd, g[:, 0], 1.0))[:, None]
+            cik = crow[i][k - i]
+            g = g - cik * crow[i][k - i:]
+            wk = wk - cik * a[:, i]
+        pd &= g[0] > PD_RTOL * gram[start]
+        piv = np.sqrt(np.where(pd, g[0], 1.0))
         crow.append(g / piv)
-        a[:, :, k] = wk / piv
+        a[:, k] = wk / piv
     return a, pd
+
+
+def _coordinate_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[j] b[j] of coordinate-major (J, m) arrays, one J-step loop in
+    j order, so an entry rounds the same for any m.  A row that fails
+    ``packed_cholesky_solve`` has an A that grows without bound; its
+    products may overflow, and mean nothing."""
+    out = np.zeros(a.shape[1:])
+    with np.errstate(over="ignore"):
+        for aj, bj in zip(a, b):
+            out += aj * bj
+    return out
 
 
 def positive_definite(M) -> bool:
@@ -148,7 +163,8 @@ def positive_definite(M) -> bool:
     its batch of one, on M's upper triangle."""
     M = np.asarray(M, dtype=float)
     J = len(M)
-    return bool(packed_cholesky_solve(M[np.triu_indices(J)][None], np.zeros((1, 1, J)))[1][0])
+    return bool(packed_cholesky_solve(M[np.triu_indices(J)][:, None],
+                                      np.zeros((1, J, 1)))[1][0])
 
 
 def lr_features(design: GeneralDesign, projector, theta_ref) -> tuple[np.ndarray, int]:
@@ -182,13 +198,13 @@ def weighted_lr(design: GeneralDesign, n_null: int, sums):
     whose M_u is not positive definite gets a False verdict.
     """
     J = design.dim
-    flat = sums.reshape(-1, sums.shape[-1])
-    gram = flat[:, :-J - 1].copy()
+    rows = sums.reshape(-1, sums.shape[-1]).T.copy()  # coordinate-major
     diagonal = [k * J - k * (k - 1) // 2 for k in range(J)]
-    gram[:, diagonal] += design.penalty * (flat[:, -1:] / design.n_obs)
-    w, pd = packed_cholesky_solve(gram, flat[:, None, -J - 1:-1])
-    tail = w[:, 0, n_null:].reshape(*sums.shape[:-1], -1)
-    return 0.5 * np.einsum("...j,...j->...", tail, tail), pd.reshape(sums.shape[:-1])
+    rows[diagonal] += design.penalty * (rows[-1] / design.n_obs)
+    w, pd = packed_cholesky_solve(rows[:-J - 1], rows[None, -J - 1:-1])
+    tail = w[0, n_null:]
+    value = 0.5 * _coordinate_dot(tail, tail)
+    return value.reshape(sums.shape[:-1]), pd.reshape(sums.shape[:-1])
 
 
 def t_lr(design: GeneralDesign, projector) -> float:

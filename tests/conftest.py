@@ -29,3 +29,38 @@ def population_fisher(n, J, penalty=0.0, n_instruments=1):
 @pytest.fixture
 def gen():
     return RngStream(1234, 0).generator()
+
+
+def reference_packed_cholesky_solve(gram, rhs, pd_rtol=1e-12):
+    """The row-major form of ``quasilik.packed_cholesky_solve``: ``gram``
+    (m, J(J+1)/2) and ``rhs`` (m, c, J) one batch entry per row, every step
+    on strided columns; returns A (m, c, J) and the verdicts.  Its factors
+    are the reference that the coordinate-major kernel must equal bit for
+    bit."""
+    m, c, J = rhs.shape
+    crow = []
+    a = np.empty((m, c, J))
+    pd = np.ones(m, dtype=bool)
+    for k in range(J):
+        start = k * J - k * (k - 1) // 2
+        g = gram[:, start:start + J - k]
+        wk = rhs[:, :, k]
+        for i in range(k):
+            cik = crow[i][:, k - i, None]
+            g = g - cik * crow[i][:, k - i:]
+            wk = wk - cik * a[:, :, i]
+        pd &= g[:, 0] > pd_rtol * gram[:, start]
+        piv = np.sqrt(np.where(pd, g[:, 0], 1.0))[:, None]
+        crow.append(g / piv)
+        a[:, :, k] = wk / piv
+    return a, pd
+
+
+def reference_profile_from_sums(sums, J):
+    """hb11, hb12, hb22 and the verdict of ``benchmark.profile_from_sums``
+    for sum rows (m, d), from the row-major reference kernel, each entry of
+    A'A summed by numpy's einsum."""
+    n_gram = J * (J + 1) // 2
+    a, pd = reference_packed_cholesky_solve(sums[:, :n_gram], sums[:, n_gram:].reshape(-1, 2, J))
+    return (np.einsum("mj,mj->m", a[:, 0], a[:, 0]), np.einsum("mj,mj->m", a[:, 0], a[:, 1]),
+            np.einsum("mj,mj->m", a[:, 1], a[:, 1]), pd)

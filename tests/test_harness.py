@@ -59,7 +59,7 @@ def test_power_json_thread_count_invariant_with_redraw_count(monkeypatch):
     # at n = 40, q = 3 a few weighted Grams are indefinite: the JSON counts
     # every unit's redraws, and is identical at any thread count
     cfg = small_config(n=40, concentration=40 * 60.0, reps=2 * harness._UNIT + 7,
-                       boot_reps=200)
+                       boot_reps=200, master_seed=14)
     texts = [json.dumps(_curve(monkeypatch, cfg, k).to_dict(), sort_keys=True)
              for k in (1, 2, 3)]
     assert texts[0] == texts[1] == texts[2]
@@ -234,13 +234,15 @@ def _units(cfg):
 
 
 def test_sample_units_do_not_depend_on_the_draw_budget(monkeypatch):
-    # n = 40, q = 3: each draw is k = 12 normals, and 8 draws are redrawn;
-    # also pieces of 7 draws, the last one short, and 3 bootstraps a chunk
+    # n = 40, q = 3: each draw is k = d = 12 sums; one shared draw has an
+    # indefinite weighted Gram in the second unit and one in the short last
+    # unit, so each of their replications redraws once (25 + 7); also pieces
+    # of 7 draws, the last one short, and 3 bootstraps a chunk
     cfg = small_config(n=40, concentration=40 * 60.0, reps=2 * harness._UNIT + 7,
-                       boot_reps=200)
+                       boot_reps=200, master_seed=14)
     expected = _units(cfg)
-    assert sum(unit[4] for unit in expected) == 8
-    for budget in BUDGETS + (8 * 12 * 7, 8 * 12 * 200 * 3):
+    assert [unit[4] for unit in expected] == [0, 25, 7]
+    for budget in BUDGETS + (16 * 12 * 7, 16 * 12 * 200 * 3):
         monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
         for got, want in zip(_units(cfg), expected):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -278,9 +280,9 @@ def _traced_peak(fn):
 
 
 def test_unit_memory_is_bounded_in_boot_reps():
-    # a unit holds its (25, B) values and one bootstrap's normals and sums
-    # (B x 25 doubles each), not a (25, B, 25) block: 218 MB at B = 20 000,
-    # 16 MB now
+    # a unit holds its (25, B) values, its one shared block of normals and
+    # one bootstrap's sums (B x 25 doubles each), not a (25, B, 25) block:
+    # 218 MB at B = 20 000, 16 MB now
     engine = harness._Engine(table_config(1, reps=harness._UNIT, boot_reps=20_000))
     assert _traced_peak(lambda: harness._sample_unit(engine, 0)) < 20 * 2**20
 

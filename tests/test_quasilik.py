@@ -6,22 +6,26 @@ from scipy.optimize import minimize
 
 from ivboot import (GeneralDesign, IvSample, RngStream, SampleTruth, SingularDesignError,
                     SingularNuisanceError, cosine_design)
-from ivboot.benchmark import benchmark_design
+from ivboot.benchmark import benchmark_design, profile_from_sums
 from ivboot.quasilik import (
+    PD_RTOL,
     _inv_sqrt_psd,
     grad_loglik,
     loglik,
     mle,
     normal_matrix,
+    packed_cholesky_solve,
     positive_definite,
     restricted_mle,
     score_decomposition,
     score_vector_rhs,
     t_lr,
+    weighted_lr,
     wilks_gap,
 )
 
-from conftest import H0_PROJECTOR, THETA_FEASIBLE, population_fisher, random_cosine_design
+from conftest import (H0_PROJECTOR, THETA_FEASIBLE, population_fisher, random_cosine_design,
+                      reference_packed_cholesky_solve, reference_profile_from_sums)
 
 
 def tiny_design(eta_row, z_val, penalty=0.0):
@@ -268,3 +272,80 @@ def test_wilks_gap_shrinks_with_n():
         return np.median(gaps)
 
     assert med(200, 31) / med(2000, 32) >= 2.0
+
+
+@hs.composite
+def packed_batches(draw):
+    """m = 1-40 symmetric J x J matrices G, J = 1-6, packed row by row
+    (numpy.triu_indices order), each with 3 right-hand sides.  Each G is
+    one of: C'C for a random upper-triangular C (definite); Q diag(lam) Q'
+    with a negative eigenvalue (indefinite); C'C with one diagonal entry
+    set to zero or below it; C'C whose pivot k >= 1 is t PD_RTOL times
+    G's k-th diagonal entry, t log-uniform on [1/2, 2].  Rows are scaled
+    by factors up to 1e+-6."""
+    gen = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    J = draw(hs.integers(1, 6))
+    m = draw(hs.integers(1, 40))
+    rows = []
+    for _ in range(m):
+        kind = gen.integers(4)
+        C = np.triu(gen.standard_normal((J, J)))
+        C[np.diag_indices(J)] = np.abs(np.diag(C)) + 0.1
+        if kind == 3 and J >= 2:
+            k = gen.integers(1, J)
+            above = np.sum(C[:k, k] ** 2)
+            t = PD_RTOL * 2.0 ** gen.uniform(-1.0, 1.0)
+            C[k, k] = np.sqrt(t * above / (1.0 - t))  # C_kk^2 = t (above + C_kk^2)
+        G = C.T @ C
+        if kind == 1:
+            Q, _ = np.linalg.qr(gen.standard_normal((J, J)))
+            lam = gen.uniform(0.1, 2.0, J)
+            lam[gen.integers(J)] *= -1.0
+            G = (Q * lam) @ Q.T
+        elif kind == 2:
+            i = gen.integers(J)
+            G[i, i] = -gen.uniform(0.0, 1.0) if gen.integers(2) else 0.0
+        rows.append(G[np.triu_indices(J)] * 10.0 ** gen.uniform(-6.0, 6.0))
+    return np.array(rows), gen.standard_normal((m, 3, J)), gen
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=packed_batches())
+def test_coordinate_major_kernel_is_the_row_major_reference(case):
+    # same factors and verdicts, bit for bit; the kernel's consumers sum the
+    # factors' squares in another order, so they agree to rounding
+    gram, rhs, gen = case
+    m, _, J = rhs.shape
+    a_ref, pd_ref = reference_packed_cholesky_solve(gram, rhs)
+    a, pd = packed_cholesky_solve(np.ascontiguousarray(gram.T),
+                                  np.ascontiguousarray(rhs.transpose(1, 2, 0)))
+    assert np.array_equal(pd, pd_ref)
+    assert np.ascontiguousarray(a.transpose(2, 0, 1)).tobytes() == a_ref.tobytes()
+
+    sums = np.hstack([gram, rhs[:, :2].reshape(m, 2 * J)])
+    *hb, pd = profile_from_sums(sums, J)
+    *hb_ref, pd_ref2 = reference_profile_from_sums(sums, J)
+    assert np.array_equal(pd, pd_ref2)
+    # a failing row's factor grows without bound, and may overflow
+    finite = np.isfinite(hb_ref[0]) & np.isfinite(hb_ref[2])
+    h11, h12, h22 = (h[finite] for h in hb_ref)
+    for got, want, scale in zip(hb, hb_ref, (h11, np.sqrt(h11) * np.sqrt(h22), h22)):
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale)
+
+    n_obs = int(gen.integers(J + 1, 200))
+    design = GeneralDesign(eta=np.zeros((1, n_obs, J)), zk=np.zeros((1, n_obs)),
+                           penalty=float(gen.choice([0.0, 1e-3, 0.5])))
+    n_null = int(gen.integers(0, J + 1))
+    sums = np.hstack([gram, rhs[:, 0], gen.uniform(0.5, 2.0, (m, 1)) * n_obs])
+    value, pd = weighted_lr(design, n_null, sums)
+    shifted = sums[:, :-J - 1].copy()
+    shifted[:, [k * J - k * (k - 1) // 2 for k in range(J)]] += (
+        design.penalty * (sums[:, -1:] / n_obs))
+    w, pd_ref3 = reference_packed_cholesky_solve(shifted, sums[:, None, -J - 1:-1])
+    tail = w[:, 0, n_null:]
+    want = 0.5 * np.einsum("mj,mj->m", tail, tail)
+    assert np.array_equal(pd, pd_ref3)
+    assert np.array_equal(np.isfinite(value), np.isfinite(want))
+    finite = np.isfinite(want)
+    assert np.allclose(value[finite], want[finite], rtol=1e-12, atol=0)

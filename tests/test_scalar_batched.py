@@ -37,7 +37,7 @@ from ivboot.quasilik import (lr_features, loglik, mle, projector_split, restrict
                              weighted_lr)
 from ivboot.simgen import ERROR_KINDS, ErrorSpec, _gen_errors_batch, gen_errors, gen_sample
 
-from conftest import H0_PROJECTOR, random_cosine_design
+from conftest import H0_PROJECTOR, random_cosine_design, reference_profile_from_sums
 
 seeds = hs.integers(0, 2**32 - 1)
 kinds = hs.sampled_from(ERROR_KINDS)
@@ -169,8 +169,8 @@ def test_blr_batch_of_one_matches_scalar_loop(seed, kind):
 
 
 class _FirstBlock:
-    """Generator whose first standard_normal() call returns ``block``; later
-    calls draw from ``gen``."""
+    """Generator whose first standard_normal() call, which must ask for the
+    shape of ``block``, returns ``block``; later calls draw from ``gen``."""
 
     def __init__(self, block, gen):
         self.block, self.gen = block, gen
@@ -178,15 +178,16 @@ class _FirstBlock:
     def standard_normal(self, size):
         if self.block is None:
             return self.gen.standard_normal(size)
+        assert tuple(np.atleast_1d(size)) == self.block.shape
         block, self.block = self.block, None
         return block
 
 
 def _in_place_quantiles(engine, y1, y2, q, block, gen):
     """The critical values and redraw count of the per-row rule: the sums
-    of ``block`` (R, B, k) under each replication's law, and each rejected
-    draw (r, b), in order, redrawn in place from one gen.standard_normal(k)
-    row at a time until it is accepted."""
+    of the shared ``block`` (B, k) under each replication's law, and each
+    rejected draw (r, b), in order, redrawn in place from one
+    gen.standard_normal(k) row at a time until it is accepted."""
     mean, factor = sum_law(profile_features(engine.z, y1, y2))
     statistic = _harness_statistic(engine, q)
     values, ok = statistic(np.matmul(block, factor) + mean[:, None])
@@ -200,10 +201,13 @@ def _in_place_quantiles(engine, y1, y2, q, block, gen):
     return empirical_upper_quantile(values, engine.config.alpha), n_redrawn
 
 
-@pytest.mark.parametrize("n_bad, reps", [(1, 1), (2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n_bad, reps", [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2)])
 def test_blr_redraws_are_counted(n_bad, reps):
     # each replication is one bootstrap of 200 draws, which may redraw 2;
-    # a third aborts, also in a unit of 2 x 200 draws
+    # a third aborts, also in a unit of 2 x 200 draws.  The replications of
+    # a unit share one (200, 25) normal block, and a draw's weighted Gram
+    # matrix comes from the instruments alone, so a draw that fails fails
+    # for every replication, and each one redraws it
     cfg = _config(3, "gauss", boot_reps=200)
     engine = _Engine(cfg)
     samples = [gen_sample(cfg, rng=cfg.rng(r)) for r in range(reps)]
@@ -211,24 +215,92 @@ def test_blr_redraws_are_counted(n_bad, reps):
     y2 = np.stack([s.y2 for s in samples])
     q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
     gen = np.random.default_rng(5)
-    block = gen.standard_normal((reps, cfg.boot_reps, 25))
+    block = gen.standard_normal((cfg.boot_reps, 25))
     # with F = QR, the normal draw -2 Q'1 gives the sums of the weights u = -1:
     # the weighted Gram matrix -Z Z' is negative definite
     Q, _ = np.linalg.qr(profile_features(engine.z, y1[-1:], y2[-1:])[0])
-    block[-1, 17:17 + n_bad] = -2.0 * Q.sum(axis=0)
+    block[17:17 + n_bad] = -2.0 * Q.sum(axis=0)
     if n_bad > 2:
         with pytest.raises(RuntimeError, match="too many indefinite"):
             _blr_quantiles(engine, y1, y2, *q, _FirstBlock(block, gen))
         return
     crit, n_retries = _blr_quantiles(engine, y1, y2, *q, _FirstBlock(block, gen))
-    assert n_retries == n_bad
+    assert n_retries == n_bad * reps
     assert np.all(np.isfinite(crit))
     # the block rule redraws the normals of the per-row rule: same quantiles
     gen = np.random.default_rng(5)
     gen.standard_normal(block.shape)
     in_place, n_redrawn = _in_place_quantiles(engine, y1, y2, q, block, gen)
     assert np.array_equal(crit, in_place)
-    assert n_redrawn == n_bad
+    assert n_redrawn == n_bad * reps
+
+
+def test_each_replication_is_its_bootstrap_alone():
+    # a unit's replication r equals the bootstrap of r alone on the unit's
+    # block; the redraws follow the block in replication order, so one
+    # generator, positioned after the block, serves the bootstraps alone in
+    # turn.  At n = 40, q = 3 one shared draw of the second unit and one of
+    # the short last unit have an indefinite weighted Gram matrix
+    cfg = dataclasses.replace(
+        table_config(1, reps=2 * _UNIT + 7, boot_reps=200, master_seed=14),
+        n=40, q=3, concentration=40 * 60.0, beta_star=1.0, error=ErrorSpec("gauss"))
+    engine = _Engine(cfg)
+    redraws = []
+    for unit in range(3):
+        *q, crit, n_redrawn = _sample_unit(engine, unit)
+        gen = RngStream(cfg.master_seed, (0, unit)).generator()  # the unit's stream
+        eps = _gen_errors_batch(cfg.error, cfg.n, len(crit), gen)
+        y1 = cfg.beta_star * engine.x + eps[:, :, 0]
+        y2 = engine.x + eps[:, :, 1]
+        block = gen.standard_normal((cfg.boot_reps, 12))  # k = 12 at q = 3
+        alone, n_alone = [], 0
+        for r in range(len(crit)):
+            one = slice(r, r + 1)
+            c, n = _blr_quantiles(engine, y1[one], y2[one], *(x[one] for x in q),
+                                  _FirstBlock(block, gen))
+            alone.append(c[0])
+            n_alone += n
+        assert np.array_equal(crit, alone)
+        assert n_redrawn == n_alone
+        redraws.append(n_redrawn)
+    assert redraws == [0, 25, 7]
+
+
+def _reference_batch_of_one(engine, sample, gen):
+    """The BLR critical value of one replication with no redraw, from the
+    row-major reference kernel: one (B, k) block of gen's normals times its
+    sum law's factor."""
+    F = profile_features(engine.z, sample.y1, sample.y2)
+    mean, factor = sum_law(F)
+    sums = mean + gen.standard_normal((engine.config.boot_reps, len(factor))) @ factor
+    hb11, hb12, hb22, pd = reference_profile_from_sums(sums, engine.config.q)
+    assert pd.all()
+    _, vx, vy = _top_eigvec_2x2(*engine.quadratics(sample.y1[None] @ engine.z.T,
+                                                   sample.y2[None] @ engine.z.T))
+    lmax = np.linalg.eigvalsh(np.stack([np.stack([hb11, hb12], -1),
+                                        np.stack([hb12, hb22], -1)], -1))[:, -1]
+    gb = vx * vx * hb11 + 2 * vx * vy * hb12 + vy * vy * hb22
+    return empirical_upper_quantile(2.0 * (lmax - gb), engine.config.alpha)
+
+
+@pytest.mark.parametrize("n, seed, n_redraws", [(200, 7, 0), (40, 11, 2)])
+def test_batch_of_one_draws_one_block_and_its_redraws(n, seed, n_redraws):
+    # one replication takes the (B, k) block of a bootstrap alone, then k
+    # normals per redrawn draw, and nothing more from its stream; without
+    # redraws its critical value is the reference kernel's to rounding
+    cfg = dataclasses.replace(_config(seed, "gauss", boot_reps=200), n=n,
+                              concentration=n * TABLE_SPECS[1]["lam"])
+    sample = gen_sample(cfg, rng=cfg.rng())
+    engine, y1, y2, q = _batch_of_one(cfg, sample)
+    gen = RngStream(seed, 1).generator()
+    crit, n_retries = _blr_quantiles(engine, y1, y2, *q, gen)
+    assert n_retries == n_redraws
+    used = RngStream(seed, 1).generator()
+    used.standard_normal((cfg.boot_reps + n_retries) * 25)
+    assert gen.bit_generator.state == used.bit_generator.state
+    if n_retries == 0:
+        reference = _reference_batch_of_one(engine, sample, RngStream(seed, 1).generator())
+        assert crit[0] == pytest.approx(reference, rel=1e-12)
 
 
 def test_blr_redraws_every_indefinite_gram():
@@ -505,7 +577,7 @@ def test_boot_quantile_does_not_depend_on_the_draw_budget(monkeypatch, n, seed,
         assert expected.startswith("bootstrap aborted")
     else:
         assert expected[1] == expected_redraws
-    k = len(sum_law(lr_features(design, H0_PROJECTOR, mle(design))[0])[1])
-    for budget in (1, 7 * 8 * k, 1 << 40):
+    d = lr_features(design, H0_PROJECTOR, mle(design))[0].shape[1]
+    for budget in (1, 7 * 16 * d, 1 << 40):
         monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
         assert outcome() == expected
