@@ -274,7 +274,7 @@ def profile_from_sums(sums, J: int):
     on the transposed rows, one contiguous row per coordinate; each entry
     of A'A is summed over the J coordinates in order.  The verdict says
     whether G is positive definite.  The hb of a row that fails is
-    meaningless, and may be infinite.  Returns hb11, hb12, hb22 and the
+    meaningless but finite.  Returns hb11, hb12, hb22 and the
     verdict, each shaped sums.shape[:-1].
     """
     n_gram = J * (J + 1) // 2

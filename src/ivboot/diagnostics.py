@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import GeneralDesign, as_generator
+from .basis import GeneralDesign, as_generator, chunk_rows
 from . import quasilik
 
 KOLMOGOROV_GRID = 512
@@ -168,9 +168,11 @@ def gauss_compare_distance(sigma0, sigma1, reps: int, rng) -> GaussCompareResult
 
 def _draw_summand_sums(law: str, dim: int, n: int, reps: int,
                        gen: np.random.Generator) -> np.ndarray:
-    """reps draws of xi = sum of n iid summands with covariance I/n."""
+    """reps draws of xi = sum of n iid summands with covariance I/n, drawn
+    in chunks of chunk_rows(8 n dim) draws; each draw's summands come from
+    the stream in order, so the draws do not depend on the chunk size."""
     out = np.zeros((reps, dim))
-    block = max(1, int(2e7 // max(n * dim, 1)))
+    block = chunk_rows(8 * n * dim)
     done = 0
     while done < reps:
         m = min(block, reps - done)

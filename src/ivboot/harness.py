@@ -33,7 +33,10 @@ _SAMPLE, _NULL = 0, 1
 # features (_UNIT x n x 25 doubles) and bootstrap values (_UNIT x boot_reps
 # doubles) are held whole.
 _UNIT = 25
-_NULL_BLOCK = 2500  # null simulations per error-draw block
+# Null simulations per error-draw block of the LR null.  Fixed, because
+# blocks key the null streams; small, because a block's e1 and e2 are held
+# whole (2 x _NULL_BLOCK x n doubles) until the block is projected.
+_NULL_BLOCK = 250
 
 N_NULL_SIMS = 10_000
 
@@ -242,12 +245,14 @@ def _lr_critical(engine: _Engine, grid, law: ErrorSpec) -> np.ndarray:
     upper alpha quantile of t_clr over N_NULL_SIMS null samples at beta = v.
 
     The null errors, under ``law``, are drawn once for the whole grid, in
-    blocks with streams (_NULL, block), and kept only through their
-    instrument projections Z e1, Z e2; the data at v then project to
-    v Z x + Z e1 and Z x + Z e2.  A block's stream is walked in chunks of
-    chunk_rows(16 n) samples, whose e1 and e2 go to the block's two
-    (block, n) buffers; each block is then projected in one product, since
-    BLAS rounds a row of a product differently with the number of rows.
+    blocks of _NULL_BLOCK samples with streams (_NULL, block), and kept
+    only through their instrument projections Z e1, Z e2; the data at v
+    then project to v Z x + Z e1 and Z x + Z e2.  A block's stream is
+    walked in chunks of chunk_rows(16 n) samples, whose e1 and e2 go to
+    the block's two (_NULL_BLOCK, n) buffers; each block is then projected
+    in one product, since BLAS rounds a row of a product differently with
+    the number of rows.  So the n-vectors held are those two buffers
+    (0.8 MB at n = 200) and a chunk of draws, whatever N_NULL_SIMS is.
     """
     cfg = engine.config
     ze1 = np.empty((N_NULL_SIMS, cfg.q))
@@ -324,8 +329,8 @@ def _pool(n_threads: int, pid: int) -> ThreadPoolExecutor:
     each such arena keeps freed arrays resident, so a process's peak RSS
     would step up at random over its calls.  The step was about 13 MB when
     each draw was one block; glibc keeps up to about twice the largest
-    freed array at an arena's top, and the chunked draws free at most
-    4 MB arrays at n = 200."""
+    freed array at an arena's top, and the draws now free arrays of about
+    1 MB at n = 200 (a chunk of draws, a null block's buffers)."""
     initializer = _one_blas_thread if n_threads > 1 else None
     return ThreadPoolExecutor(max_workers=n_threads, initializer=initializer)
 

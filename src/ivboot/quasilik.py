@@ -124,8 +124,9 @@ def packed_cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
     positive definite".  It is unchanged by G -> DGD for a positive
     diagonal D, so the units of the variables do not matter; a zero or
     negative diagonal entry fails, since no pivot exceeds its diagonal
-    entry.  The A of an entry that fails is meaningless: after the failing
-    pivot its entries grow without bound, and can overflow.
+    entry.  The A of an entry that fails is meaningless but finite: from
+    its failing pivot on, the pivot is infinite, so that entry's later
+    factor rows and rows of A are 0.
     """
     c, J, m = rhs.shape
     crow = []  # crow[i] = C[i, i:], row i of the Cholesky factor, (J - i, m)
@@ -140,7 +141,7 @@ def packed_cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
             g = g - cik * crow[i][k - i:]
             wk = wk - cik * a[:, i]
         pd &= g[0] > PD_RTOL * gram[start]
-        piv = np.sqrt(np.where(pd, g[0], 1.0))
+        piv = np.sqrt(np.where(pd, g[0], np.inf))
         crow.append(g / piv)
         a[:, k] = wk / piv
     return a, pd
@@ -148,13 +149,10 @@ def packed_cholesky_solve(gram: np.ndarray, rhs: np.ndarray):
 
 def _coordinate_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_j a[j] b[j] of coordinate-major (J, m) arrays, one J-step loop in
-    j order, so an entry rounds the same for any m.  A row that fails
-    ``packed_cholesky_solve`` has an A that grows without bound; its
-    products may overflow, and mean nothing."""
+    j order, so an entry rounds the same for any m."""
     out = np.zeros(a.shape[1:])
-    with np.errstate(over="ignore"):
-        for aj, bj in zip(a, b):
-            out += aj * bj
+    for aj, bj in zip(a, b):
+        out += aj * bj
     return out
 
 

@@ -50,7 +50,7 @@ def reference_packed_cholesky_solve(gram, rhs, pd_rtol=1e-12):
             g = g - cik * crow[i][:, k - i:]
             wk = wk - cik * a[:, :, i]
         pd &= g[:, 0] > pd_rtol * gram[:, start]
-        piv = np.sqrt(np.where(pd, g[:, 0], 1.0))[:, None]
+        piv = np.sqrt(np.where(pd, g[:, 0], np.inf))[:, None]
         crow.append(g / piv)
         a[:, :, k] = wk / piv
     return a, pd

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ivboot import GeneralDesign, IvSample, RngStream, SampleTruth, cosine_design
+from ivboot import GeneralDesign, IvSample, RngStream, SampleTruth, basis, cosine_design
 from ivboot.benchmark import benchmark_design
 from ivboot.diagnostics import (
+    SUMMAND_LAWS,
     DeviationParams,
+    _draw_summand_sums,
     bernstein_bound,
     empirical_opnorm_tail,
     fsc_design_check,
@@ -160,6 +164,31 @@ def test_gar_validates_inputs():
         gar_scaling_check("uniform_cube", 3, [100], 1000, RngStream(7, 2))
     with pytest.raises(ValueError):
         gar_scaling_check("unknown", 3, [10, 20], 1000, RngStream(7, 3))
+
+
+@pytest.mark.parametrize("law", SUMMAND_LAWS)
+def test_summand_sums_do_not_depend_on_the_draw_budget(monkeypatch, law):
+    # a chunk of one draw, of 7 draws (the last one short), and one chunk
+    # for all of them
+    def sums():
+        return _draw_summand_sums(law, 3, 37, 50, RngStream(7, 4).generator()).tobytes()
+
+    expected = sums()
+    for budget in (1, 8 * 37 * 3 * 7, 1 << 40):
+        monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
+        assert sums() == expected
+
+
+def test_gar_memory_is_bounded_in_reps():
+    # the draws are held a chunk at a time, not in blocks of 2e7 summands
+    # (465 MB traced at n = 400 and 100 000 reps with those blocks)
+    tracemalloc.start()
+    try:
+        gar_scaling_check("rademacher_product", 3, [50, 400], 20_000, RngStream(7, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * basis.DRAW_BUDGET
 
 
 def test_fsc_design_trivial_cases():

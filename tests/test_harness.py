@@ -9,6 +9,7 @@ import pytest
 from numpy.polynomial import Chebyshev
 
 from ivboot import ErrorSpec, SimConfig, basis, benchmark, harness
+from ivboot.bootstrap import empirical_upper_quantile
 from ivboot.cli import run
 from ivboot.harness import (
     PowerTable,
@@ -288,14 +289,45 @@ def test_unit_memory_is_bounded_in_boot_reps():
 
 
 def test_lr_null_memory_is_one_block_of_projections():
-    # the null holds one block's e1 and e2 (2 x 2500 x n doubles), a chunk
-    # of draws and the (10 000, q) projections, not 2500 samples' draws and
-    # their copies: 230 MB at n = 2000, 80 MB now
+    # the null holds one block's e1 and e2 (2 x 250 x n doubles), a chunk
+    # of draws and the (10 000, q) projections, not a block's draws and
+    # their copies: 230 MB at n = 2000 with unchunked 2500-sample blocks,
+    # 80 MB with chunked ones, 11 MB with 250-sample blocks
     cfg = SimConfig(n=2000, q=5, concentration=2000 * 4.0)
     engine = harness._Engine(cfg)
     block = 2 * harness._NULL_BLOCK * cfg.n * 8
     peak = _traced_peak(lambda: harness._lr_critical(engine, (1.0,), cfg.error))
     assert peak < block + 8 * basis.DRAW_BUDGET
+
+
+def test_table_lr_null_memory():
+    # table 1's null at n = 200 over its 17 grid values: 12 MB with
+    # 2500-sample blocks, 5 MB with 250-sample ones
+    cfg = table_config(1)
+    engine = harness._Engine(cfg)
+    peak = _traced_peak(lambda: harness._lr_critical(engine, cfg.beta_grid, cfg.error))
+    assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["gauss", "laplace", "hetero_linear", "hetero_periodic"])
+def test_lr_null_streams_are_its_blocks(kind):
+    # block b of the null is _NULL_BLOCK samples drawn at once from stream
+    # (_NULL, b) and projected in one product
+    cfg = small_config(n=40, error=ErrorSpec(kind, np.array([[1.5, 0.4], [0.4, 0.7]])))
+    engine = harness._Engine(cfg)
+    blocks = [harness._gen_errors_batch(cfg.error, cfg.n, harness._NULL_BLOCK,
+                                        harness._stream(cfg, harness._NULL, b))
+              for b in range(harness.N_NULL_SIMS // harness._NULL_BLOCK)]
+    ze1, ze2 = (np.concatenate([np.ascontiguousarray(eps[:, :, i]) @ engine.z.T
+                                for eps in blocks]) for i in (0, 1))
+    zx = engine.z @ engine.x
+    expected = []
+    for v in cfg.beta_grid:
+        q11, q12, q22 = engine.quadratics(v * zx + ze1, zx + ze2)
+        expected.append(empirical_upper_quantile(
+            benchmark.tclr_from(*benchmark.st_quadratics(q11, q12, q22, v)), cfg.alpha))
+    got = harness._lr_critical(engine, cfg.beta_grid, cfg.error)
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 def test_max_threads_counts_the_cpus_of_the_affinity_mask(monkeypatch):

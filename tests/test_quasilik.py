@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from ivboot import (GeneralDesign, IvSample, RngStream, SampleTruth, SingularDesignError,
                     SingularNuisanceError, cosine_design)
-from ivboot.benchmark import benchmark_design, profile_from_sums
+from ivboot.benchmark import benchmark_design, blr_values, profile_from_sums
 from ivboot.quasilik import (
     PD_RTOL,
     _inv_sqrt_psd,
@@ -326,12 +326,11 @@ def test_coordinate_major_kernel_is_the_row_major_reference(case):
     *hb, pd = profile_from_sums(sums, J)
     *hb_ref, pd_ref2 = reference_profile_from_sums(sums, J)
     assert np.array_equal(pd, pd_ref2)
-    # a failing row's factor grows without bound, and may overflow
-    finite = np.isfinite(hb_ref[0]) & np.isfinite(hb_ref[2])
-    h11, h12, h22 = (h[finite] for h in hb_ref)
+    # a failing row's factor is 0 from its failing pivot on, so every hb is finite
+    h11, h12, h22 = hb_ref
     for got, want, scale in zip(hb, hb_ref, (h11, np.sqrt(h11) * np.sqrt(h22), h22)):
-        assert np.array_equal(np.isfinite(got), np.isfinite(want))
-        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     n_obs = int(gen.integers(J + 1, 200))
     design = GeneralDesign(eta=np.zeros((1, n_obs, J)), zk=np.zeros((1, n_obs)),
@@ -346,6 +345,31 @@ def test_coordinate_major_kernel_is_the_row_major_reference(case):
     tail = w[:, 0, n_null:]
     want = 0.5 * np.einsum("mj,mj->m", tail, tail)
     assert np.array_equal(pd, pd_ref3)
-    assert np.array_equal(np.isfinite(value), np.isfinite(want))
-    finite = np.isfinite(want)
-    assert np.allclose(value[finite], want[finite], rtol=1e-12, atol=0)
+    assert np.all(np.isfinite(value))
+    assert np.allclose(value, want, rtol=1e-12, atol=0)
+
+
+def test_failed_pivot_leaves_the_row_finite():
+    # J = 6, G[0, 0] < 0, scaled by 1e6: a pivot of 1 after the failure
+    # would square the row's later factor rows step by step, to an A of
+    # about 1e165 and an hb that overflows; the other row keeps the values
+    # it has alone
+    gen = np.random.default_rng(1)
+    J = 6
+    C = np.triu(gen.standard_normal((J, J)))
+    C[np.diag_indices(J)] = np.abs(np.diag(C)) + 0.1
+    G = C.T @ C
+    bad = G.copy()
+    bad[0, 0] = -0.5
+    iu = np.triu_indices(J)
+    sums = np.array([np.concatenate([bad[iu], gen.standard_normal(2 * J)]) * 1e6,
+                     np.concatenate([G[iu], gen.standard_normal(2 * J)])])
+    a, pd = packed_cholesky_solve(np.ascontiguousarray(sums[:, :len(iu[0])].T),
+                                  np.ascontiguousarray(sums[:, len(iu[0]):].T).reshape(2, J, 2))
+    assert pd.tolist() == [False, True]
+    assert np.all(a[:, :, 0] == 0.0)
+    *hb, pd = profile_from_sums(sums, J)
+    *hb_alone, _ = profile_from_sums(sums[1:], J)
+    assert all(np.all(np.isfinite(h)) and h[1] == h1[0] for h, h1 in zip(hb, hb_alone))
+    values, _ = blr_values(sums, J, 0.6, 0.8)
+    assert np.all(np.isfinite(values))
