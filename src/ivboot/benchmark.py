@@ -52,9 +52,16 @@ def st_quadratics(q11, q12, q22, v):
 
 
 def tclr_from(ss, tt, st):
-    """t_clr from S'S, T'T and S'T, elementwise over arrays."""
+    """t_clr = d + sqrt(d^2 + 4 (S'T)^2), d = S'S - T'T, from S'S, T'T and
+    S'T, elementwise over arrays.  That sum cancels when T'T >> S'S, so it
+    is taken in the equal form 2 max(d, 0) + (2 S'T)^2 / (|d| + sqrt(...)),
+    with the root as a hypot and the square as (2 S'T / den) 2 S'T, so
+    that nothing cancels, overflows or underflows.  den is held at or above
+    the smallest normal double: t_clr is 0, not 0/0, at d = S'T = 0."""
     d = ss - tt
-    return d + np.sqrt(d * d + 4.0 * st * st)
+    st2 = 2.0 * st
+    den = np.maximum(np.abs(d) + np.hypot(d, st2), np.finfo(float).tiny)
+    return 2.0 * np.maximum(d, 0.0) + st2 / den * st2
 
 
 def ar_from(ss, n_instruments):

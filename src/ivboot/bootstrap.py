@@ -64,7 +64,9 @@ class BootstrapRun:
 
 def boot_loglik(design: GeneralDesign, weights, theta) -> float:
     """Weighted quasi log-likelihood: observation i's residual terms and its
-    1/n penalty share are both multiplied by u_i."""
+    1/n penalty share are both multiplied by u_i.  The bootstrap itself works
+    on sums of ``quasilik.lr_features``; this direct form is the reference
+    evaluator that the tests maximize against it."""
     u = np.asarray(weights, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if u.shape != (design.n_obs,):
@@ -95,20 +97,6 @@ def t_blr(design: GeneralDesign, weights, projector,
     return float(value)
 
 
-def boot_score_decomposition(design: GeneralDesign, weights, theta_ref, projector,
-                             expected_fisher: Optional[np.ndarray] = None
-                             ) -> quasilik.ScoreDecomposition:
-    """Score decomposition of the centered resampled gradient
-    sum_i (u_i - 1) grad l_i(theta_ref)."""
-    u = np.asarray(weights, dtype=float)
-    contrib = quasilik.grad_contributions(design, theta_ref)  # (n, J)
-    g = (u - 1.0) @ contrib
-    F = expected_fisher
-    if F is None:
-        F = quasilik.normal_matrix(design) + design.penalty * np.eye(design.dim)
-    return quasilik.score_from_parts(g, F, projector)
-
-
 def boot_wilks_gap(design: GeneralDesign, weights, projector,
                    theta_star=None, expected_fisher=None, exact: bool = False) -> float:
     """| sqrt(2 T_BLR) - ||xi_s_boot|| |.
@@ -116,7 +104,9 @@ def boot_wilks_gap(design: GeneralDesign, weights, projector,
     With ``exact=True`` the score uses the weighted sample quantities
     expanded at the full-sample maximizer, for which the quadratic identity
     is exact; otherwise the centered gradient at ``theta_star`` and
-    ``expected_fisher`` give the rate-style gap.
+    ``expected_fisher`` (default: the sample normal matrix plus the
+    penalty) give the rate-style gap, through the score of the centered
+    resampled gradient sum_i (u_i - 1) grad l_i(theta_star).
     """
     u = np.asarray(weights, dtype=float)
     theta_tilde = quasilik.mle(design)
@@ -129,7 +119,11 @@ def boot_wilks_gap(design: GeneralDesign, weights, projector,
     else:
         if theta_star is None:
             raise ValueError("theta_star required unless exact=True")
-        sd = boot_score_decomposition(design, u, theta_star, projector, expected_fisher)
+        F = expected_fisher
+        if F is None:
+            F = quasilik.normal_matrix(design) + design.penalty * np.eye(design.dim)
+        g = (u - 1.0) @ quasilik.grad_contributions(design, theta_star)
+        sd = quasilik.score_from_parts(g, F, projector)
     return float(abs(np.sqrt(2.0 * max(t, 0.0)) - np.linalg.norm(sd.xi_s)))
 
 

@@ -105,37 +105,23 @@ def _cmd_power(args) -> int:
 
 
 def run_all_tests_once(config: SimConfig, beta0: float) -> list:
-    """All five tests of H0: beta = beta0 on a single generated sample: a
-    batch of one through the kernels of harness.power_curve."""
+    """All five tests of H0: beta = beta0 on a single generated sample: the
+    batch of one of harness.power_curve's replications and decisions, the
+    sample drawn from stream 0 and its bootstrap from stream 1."""
     sample = gen_sample(config, rng=config.rng())
     engine = harness._Engine(config)
-    y1, y2 = sample.y1[None], sample.y2[None]
-    q11, q12, q22 = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
-    ss, tt, st = (float(x[0]) for x in benchmark.st_quadratics(q11, q12, q22, beta0))
-    stat = float(benchmark.tclr_from(ss, tt, st))
+    q11, q12, q22, blr_crit, n_retries = harness._replications(
+        engine, sample.y1[None], sample.y2[None], RngStream(config.master_seed, 1).generator())
+    pairs, tt = harness._decisions(engine, (q11, q12, q22, blr_crit), beta0,
+                                   harness.oracle_lr_critical(config, beta0))
+    info = {"LR": {"n_null_sims": harness.N_NULL_SIMS},
+            "BLR": {"n_boot": config.boot_reps, "n_retries": n_retries,
+                    "z_star_alpha": (float(blr_crit[0]) - config.q) / np.sqrt(config.q)},
+            "CLR": {"t_norm2": float(tt[0])}}
     outcomes = []
-
-    lr_crit = harness.oracle_lr_critical(config, beta0)
-    outcomes.append(TestOutcome("LR", stat, lr_crit, stat > lr_crit,
-                                {"n_null_sims": harness.N_NULL_SIMS}))
-
-    blr_crit, n_retries = harness._blr_quantiles(
-        engine, y1, y2, q11, q12, q22, RngStream(config.master_seed, 1).generator())
-    crit = float(blr_crit[0])
-    outcomes.append(TestOutcome("BLR", stat, crit, stat > crit,
-                                {"n_boot": config.boot_reps, "n_retries": n_retries,
-                                 "z_star_alpha": (crit - config.q) / np.sqrt(config.q)}))
-
-    clr_crit = benchmark.clr_critical(tt, config.q, config.alpha)
-    outcomes.append(TestOutcome("CLR", stat, clr_crit, stat > clr_crit,
-                                {"t_norm2": tt}))
-
-    ar_crit, lm_crit = harness._ar_lm_critical(config)
-    ar = benchmark.ar_from(ss, config.q)
-    outcomes.append(TestOutcome("AR", ar, ar_crit, ar > ar_crit, {}))
-
-    lm = benchmark.lm_from(tt, st)
-    outcomes.append(TestOutcome("LM", lm, lm_crit, lm > lm_crit, {}))
+    for name, pair in zip(harness.TEST_NAMES, pairs):
+        stat, crit = (float(np.ravel(x)[0]) for x in pair)
+        outcomes.append(TestOutcome(name, stat, crit, stat > crit, info.get(name, {})))
     return outcomes
 
 

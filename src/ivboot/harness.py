@@ -221,23 +221,25 @@ def _stream(config: SimConfig, role: int, unit: int) -> np.random.Generator:
     return RngStream(config.master_seed, (role, unit)).generator()
 
 
-def _sample_unit(engine: _Engine, unit: int):
-    """Simulate one unit of replications at the configured truth.
+def _replications(engine: _Engine, y1, y2, gen):
+    """The profile quadratics q11, q12, q22 and the bootstrap critical value
+    of replications with outcomes y1, y2 (one row each), and the number of
+    bootstrap draws redrawn; the bootstrap draws from ``gen``.  None of them
+    depends on the hypothesized value, so they serve a whole grid."""
+    q11, q12, q22 = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+    blr_crit, redraws = _blr_quantiles(engine, y1, y2, q11, q12, q22, gen)
+    return q11, q12, q22, blr_crit, redraws
 
-    Returns the profile quadratics q11, q12, q22 and the bootstrap critical
-    value of each replication, and the unit's number of bootstrap redraws;
-    none of them depends on the hypothesized value, so one unit serves the
-    whole grid.
-    """
+
+def _sample_unit(engine: _Engine, unit: int):
+    """_replications of one unit of samples drawn at the configured truth
+    from stream (_SAMPLE, unit), which the unit's bootstrap then continues."""
     cfg = engine.config
     reps_here = min(_UNIT, cfg.reps - unit * _UNIT)
     gen = _stream(cfg, _SAMPLE, unit)
     eps = _gen_errors_batch(cfg.error, cfg.n, reps_here, gen)
-    y1 = cfg.beta_star * engine.x[None, :] + eps[:, :, 0]
-    y2 = engine.x[None, :] + eps[:, :, 1]
-    q11, q12, q22 = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
-    blr_crit, redraws = _blr_quantiles(engine, y1, y2, q11, q12, q22, gen)
-    return q11, q12, q22, blr_crit, redraws
+    return _replications(engine, cfg.beta_star * engine.x[None, :] + eps[:, :, 0],
+                         engine.x[None, :] + eps[:, :, 1], gen)
 
 
 def _lr_critical(engine: _Engine, grid, law: ErrorSpec) -> np.ndarray:
@@ -253,6 +255,8 @@ def _lr_critical(engine: _Engine, grid, law: ErrorSpec) -> np.ndarray:
     in one product, since BLAS rounds a row of a product differently with
     the number of rows.  So the n-vectors held are those two buffers
     (0.8 MB at n = 200) and a chunk of draws, whatever N_NULL_SIMS is.
+    The numerator v^2 q11 of the null's T'T grows like v^4: a v where it
+    overflows (|v| above about 3e76) raises ValueError.
     """
     cfg = engine.config
     ze1 = np.empty((N_NULL_SIMS, cfg.q))
@@ -272,9 +276,13 @@ def _lr_critical(engine: _Engine, grid, law: ErrorSpec) -> np.ndarray:
     zx = engine.z @ engine.x
     crit = np.empty(len(grid))
     for i, v in enumerate(grid):
-        q11, q12, q22 = engine.quadratics(v * zx + ze1, zx + ze2)
-        crit[i] = empirical_upper_quantile(tclr_from(*st_quadratics(q11, q12, q22, v)),
-                                           cfg.alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q11, q12, q22 = engine.quadratics(v * zx + ze1, zx + ze2)
+            ss, tt, st = st_quadratics(q11, q12, q22, v)
+        if not np.isfinite(tt).all():
+            raise ValueError(f"beta0 = {v:g} is too large: the T'T of its LR null "
+                             "simulations overflows")
+        crit[i] = empirical_upper_quantile(tclr_from(ss, tt, st), cfg.alpha)
     return crit
 
 
@@ -282,13 +290,6 @@ def _clr_critical_curve(tt: np.ndarray, q: int, alpha: float) -> np.ndarray:
     """Conditional critical value of each replication's t_clr given its
     ||T||^2: the CLR layer of the power curve."""
     return clr_critical_values(tt, q, alpha)
-
-
-def _ar_lm_critical(config: SimConfig) -> tuple[float, float]:
-    """Critical values of the AR statistic, the chi-square(q)/q quantile,
-    and of the LM statistic, the chi-square(1) quantile, at level alpha."""
-    return (chi2_ppf(1 - config.alpha, config.q) / config.q,
-            chi2_ppf(1 - config.alpha, 1))
 
 
 def oracle_lr_critical(config: SimConfig, beta0: float) -> float:
@@ -365,8 +366,8 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     try:
         *sample, redraws = zip(*(f.result() for f in unit_futs))
         sample = [np.concatenate(p) for p in sample]
-        rates_fn = functools.partial(_grid_rates, engine, sample, *_ar_lm_critical(cfg))
-        rate_futs = [ex.submit(rates_fn, v, c) for v, c in zip(cfg.beta_grid, lr_fut.result())]
+        rate_futs = [ex.submit(_grid_rates, engine, sample, v, c)
+                     for v, c in zip(cfg.beta_grid, lr_fut.result())]
         futs += rate_futs
         rates = [f.result() for f in rate_futs]
     finally:
@@ -376,20 +377,28 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
                       reps_used=cfg.reps, blr_redraws=sum(redraws))
 
 
-def _grid_rates(engine: _Engine, sample, ar_crit: float, lm_crit: float, v: float,
-                lr_crit: float):
-    """Rejection rates of the five tests of H0: beta = v, in TEST_NAMES
-    order, on the shared samples (q11, q12, q22, blr_crit) of power_curve,
-    with the AR and LM critical values of the curve."""
+def _decisions(engine: _Engine, sample, v: float, lr_crit):
+    """The five tests of H0: beta = v on replications sample = (q11, q12,
+    q22, blr_crit) of _replications, with LR critical value ``lr_crit``:
+    the (statistic, critical value) pair of each test, in TEST_NAMES order,
+    each entry one per replication or a scalar, and each replication's T'T.
+    A test rejects where its statistic exceeds its critical value."""
     cfg = engine.config
     q11, q12, q22, blr_crit = sample
     ss, tt, st = st_quadratics(q11, q12, q22, v)
     tclr = tclr_from(ss, tt, st)
-    return (np.mean(tclr > lr_crit),
-            np.mean(tclr > blr_crit),
-            np.mean(tclr > _clr_critical_curve(tt, cfg.q, cfg.alpha)),
-            np.mean(ar_from(ss, cfg.q) > ar_crit),
-            np.mean(lm_from(tt, st) > lm_crit))
+    return ((tclr, lr_crit),
+            (tclr, blr_crit),
+            (tclr, _clr_critical_curve(tt, cfg.q, cfg.alpha)),
+            (ar_from(ss, cfg.q), chi2_ppf(1 - cfg.alpha, cfg.q) / cfg.q),
+            (lm_from(tt, st), chi2_ppf(1 - cfg.alpha, 1))), tt
+
+
+def _grid_rates(engine: _Engine, sample, v: float, lr_crit: float):
+    """Rejection rates of the five tests of H0: beta = v, in TEST_NAMES
+    order, on the shared samples of power_curve (see _decisions)."""
+    pairs, _ = _decisions(engine, sample, v, lr_crit)
+    return tuple(np.mean(stat > crit) for stat, crit in pairs)
 
 
 def compare_to_reference(table: PowerTable, reference_id: int) -> ComparisonReport:

@@ -49,9 +49,9 @@ def loglik(design: GeneralDesign, theta) -> float:
 
 
 def grad_loglik(design: GeneralDesign, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    A = normal_matrix(design)
-    return score_vector_rhs(design) - A @ theta - design.penalty * theta
+    """Gradient of the penalized quasi log-likelihood at theta, shape (J,):
+    the sum of the per-observation terms of grad_contributions."""
+    return grad_contributions(design, theta).sum(axis=0)
 
 
 def grad_contributions(design: GeneralDesign, theta) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -103,6 +104,24 @@ def test_t_clr_quadratic_root_identity(gen):
         roots = np.roots([1.0, -(ss - tt), -(st ** 2)])
         assert t_clr(pair) == pytest.approx(2 * roots.max(), abs=1e-10)
         assert t_clr(pair) >= 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log_ss=hs.floats(-3.0, 3.0), log_ratio=hs.floats(-5.0, 40.0),
+       rho=hs.floats(-1.0, 1.0), log_scale=hs.integers(-100, 120))
+def test_tclr_from_matches_mpmath(log_ss, log_ratio, rho, log_scale):
+    # T'T up to 1e40 S'S, where d + sqrt(d^2 + 4 st^2) cancels, T'T up to
+    # 1e166, where d^2 overflows, and S'T down to where st^2 underflows,
+    # within Cauchy-Schwarz; the reference is that direct form at 1000
+    # digits, more than d^2 / st^2 can span here
+    ss = 10.0 ** (log_ss + log_scale)
+    tt = ss * 10.0 ** log_ratio
+    st = rho * math.sqrt(ss) * math.sqrt(tt)
+    with mpmath.workdps(1000):
+        d = mpmath.mpf(ss) - mpmath.mpf(tt)
+        ref = d + mpmath.sqrt(d * d + 4 * mpmath.mpf(st) ** 2)
+        # a value below the smallest normal double rounds absolutely
+        assert abs(float(tclr_from(ss, tt, st)) - ref) <= 1e-14 * ref + sys.float_info.min
 
 
 def test_t_lm_t_ar_basics():

@@ -12,6 +12,7 @@ from ivboot.benchmark import clr_critical
 from ivboot.cli import run
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODEL = ["--n", "60", "--q", "3", "--concentration", "3000", "--seed", "11"]
 BOOT = ["--boot-reps", "120"]
 POWER = MODEL + ["--reps", "25"] + BOOT
@@ -131,6 +132,25 @@ def test_test_subcommand_emits_all_five(tmp_path):
     assert clr["critical_value"] == clr_critical(clr["info"]["t_norm2"], 3, 0.05)
 
 
+def test_traced_test_reaches_every_hook(tmp_path, monkeypatch):
+    # the benchmark's tracer patches these functions by name: `ivboot test`
+    # must still call each of them, the bootstrap with its boot_reps draws
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from spans import Tracer
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert run(["test", "--boot-reps", "200", "--out", str(tmp_path / "t.json")]) == 0
+    finally:
+        tracer.uninstall()
+    attrs = {}
+    for _, name, _, _, _, _, extra in tracer.spans:
+        attrs.setdefault(name, []).append(extra)
+    assert {"simgen.gen_sample", "harness.quadratics", "harness.blr", "harness.oracle_lr",
+            "harness.lr_oracle", "harness.clr"} <= attrs.keys()
+    assert attrs["harness.blr"] == [{"draws": 200}]
+
+
 def test_missing_config_exits_one(capsys):
     assert run(["power", "--config", "missing.json"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -174,9 +194,14 @@ def test_bad_grid_exits_one(capsys):
     # 1 - alpha rounds to 1: no chi-square or bootstrap quantile at that level
     (["test", "--alpha", "1e-17"], "alpha must be in (0, 1)"),
     (["power", "--alpha", "1e-300", "--reps", "10"], "alpha must be in (0, 1)"),
+    # the LR null's T'T overflows
+    (["test", "--beta0", "1e100", "--boot-reps", "100"], "beta0 = 1e+100 is too large"),
+    (["power", "--grid", "1e100:1e100:1e100", "--reps", "10", "--boot-reps", "100"],
+     "beta0 = 1e+100 is too large"),
 ], ids=["test-n20", "test-n30", "diagnose-singular", "test-singular", "power-singular",
         "test-boot-reps-0", "power-boot-reps-0", "test-beta0-nan", "test-concentration-nan",
-        "power-beta-star-inf", "test-alpha-1e-17", "power-alpha-1e-300"])
+        "power-beta-star-inf", "test-alpha-1e-17", "power-alpha-1e-300", "test-beta0-1e100",
+        "power-grid-1e100"])
 def test_degenerate_runs_exit_one(capsys, argv, message):
     assert run(argv) == 1
     out, err = capsys.readouterr()

@@ -330,6 +330,19 @@ def test_lr_null_streams_are_its_blocks(kind):
     assert got.tobytes() == np.array(expected).tobytes()
 
 
+def test_lr_null_at_large_beta0_converges():
+    # T'T of the null grows like v^2 while S'S stays of order one: t_clr
+    # must not cancel (the direct form read 7.6875 at 1e6 and 0 from 1e8),
+    # and past about 3e76 T'T overflows, which is an error
+    cfg = table_config(1)
+    engine = harness._Engine(cfg)
+    crit = harness._lr_critical(engine, (1e4, 1e8, 1e12), cfg.error)
+    assert np.all(crit > 0)
+    np.testing.assert_allclose(crit, crit[0], rtol=1e-5)
+    with pytest.raises(ValueError, match="too large"):
+        harness._lr_critical(engine, (1.0, 1e100), cfg.error)
+
+
 def test_max_threads_counts_the_cpus_of_the_affinity_mask(monkeypatch):
     monkeypatch.delenv("IVBOOT_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)

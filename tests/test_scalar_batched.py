@@ -31,8 +31,9 @@ from ivboot.benchmark import (
 )
 from ivboot.bootstrap import (RetryDrawError, boot_loglik, boot_quantile, check_redraws,
                               empirical_upper_quantile, sum_law)
-from ivboot.harness import (TABLE_SPECS, _UNIT, _blr_quantiles, _Engine, _sample_unit,
-                            power_curve, table_config)
+from ivboot.cli import run_all_tests_once
+from ivboot.harness import (TABLE_SPECS, TEST_NAMES, _UNIT, _blr_quantiles, _Engine,
+                            _grid_rates, _replications, _sample_unit, power_curve, table_config)
 from ivboot.quasilik import (lr_features, loglik, mle, projector_split, restricted_mle, t_lr,
                              weighted_lr)
 from ivboot.simgen import ERROR_KINDS, ErrorSpec, _gen_errors_batch, gen_errors, gen_sample
@@ -97,8 +98,9 @@ def test_scalar_statistics_match_batched_formulas(seed, kind, offset):
     beta0 = profile_sup(sample)[0] + offset
     _, _, _, q = _batch_of_one(cfg, sample)
     ss, tt, st = (x[0] for x in st_quadratics(*q, beta0))
-    # t_clr cancels in d + sqrt(d^2 + 4 st^2): bound the error on the scale
-    # of S'S + T'T, not of the statistic
+    # tclr_from does not cancel, but st_quadratics' sums and the difference
+    # of ams_lr_statistic's two profile values do: bound the error on the
+    # scale of S'S + T'T, not of the statistic
     tol = 1e-10 * (ss + tt)
     pair = st_vectors(sample, beta0)
     batched = tclr_from(ss, tt, st)
@@ -119,6 +121,25 @@ def test_power_curve_clr_column_uses_clr_critical_values():
     for v, rate in zip(cfg.beta_grid, table.column("CLR")):
         ss, tt, st = st_quadratics(q11, q12, q22, v)
         assert rate == np.mean(tclr_from(ss, tt, st) > clr_critical_values(tt, cfg.q, cfg.alpha))
+
+
+@pytest.mark.parametrize("kind", ERROR_KINDS)
+def test_ivboot_test_is_the_batch_of_one_of_the_power_pipeline(kind):
+    # `ivboot test` rejects where its statistic exceeds its critical value;
+    # its verdicts are power_curve's rates on its one replication, with its
+    # own streams and LR critical value; its LR statistic is the profile
+    # likelihood's
+    cfg = _config(5, kind, boot_reps=200)
+    beta0 = float(TABLE_SPECS[1]["grid"][6])  # 0.96: verdicts differ across tests and laws
+    outcomes = run_all_tests_once(cfg, beta0)
+    assert [o.name for o in outcomes] == list(TEST_NAMES)
+    assert [o.reject for o in outcomes] == [o.statistic > o.critical_value for o in outcomes]
+    sample = gen_sample(cfg, rng=cfg.rng())
+    engine, y1, y2, _ = _batch_of_one(cfg, sample)
+    *replication, _ = _replications(engine, y1, y2, RngStream(cfg.master_seed, 1).generator())
+    rates = _grid_rates(engine, replication, beta0, outcomes[0].critical_value)
+    assert list(rates) == [float(o.reject) for o in outcomes]
+    assert outcomes[0].statistic == pytest.approx(ams_lr_statistic(sample, beta0), rel=1e-6)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
