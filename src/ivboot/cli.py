@@ -187,14 +187,18 @@ def _cmd_diagnose(args) -> int:
 
 
 def _parse_grid(text: str) -> tuple:
+    """start + i step for i = 0, 1, ... while the value does not exceed end,
+    up to rounding; so the grid always holds start."""
     try:
         start, step, end = (float(v) for v in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be start:step:end, got {text!r}") from None
     if step <= 0 or end < start:
         raise argparse.ArgumentTypeError(f"empty grid {text!r}")
-    values = np.arange(start, end + 0.5 * step, step)
-    return tuple(np.round(values, 10))
+    if start + step == start and end > start:
+        raise argparse.ArgumentTypeError(f"step of grid {text!r} does not move its start")
+    i = np.arange(np.floor((end - start) / step + 1e-9) + 1)
+    return tuple(np.round(start + i * step, 10))
 
 
 # Every flag of the CLI, in --help order.  A setting a command line leaves

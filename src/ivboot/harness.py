@@ -21,6 +21,7 @@ from .bootstrap import empirical_upper_quantile, multiplier_bootstrap, sum_law
 from .simgen import ErrorSpec, SimConfig, _gen_errors_batch, gen_pi
 
 TEST_NAMES = ("LR", "BLR", "CLR", "AR", "LM")
+GATED_TESTS = ("LR", "BLR", "CLR")  # the columns compare_to_reference's verdict uses
 CSV_HEADER = ("offset",) + TEST_NAMES
 
 # stream roles: every stream of a power curve has the spawn key (role, unit)
@@ -103,14 +104,13 @@ class ComparisonReport:
     frac_within_008: float
     frac_within_015: float
     passed: bool
-    gated_tests: tuple = ("LR", "BLR", "CLR")
 
     def to_dict(self) -> dict:
         return {
             "reference_id": self.reference_id,
             "grid": [float(v) for v in self.grid],
             "diffs": {t: [float(x) for x in d] for t, d in self.diffs.items()},
-            "gated_tests": list(self.gated_tests),
+            "gated_tests": list(GATED_TESTS),
             "frac_within_008": self.frac_within_008,
             "frac_within_015": self.frac_within_015,
             "passed": self.passed,
@@ -347,8 +347,8 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     depends only on the config and that value, not on the rest of the grid.
     Every stream is keyed by (role, unit) and replication units have a
     fixed size, so results are identical for any thread count.
-    The max_threads() workers are those of ``_pool``, and the call returns
-    only once all of its tasks have ended.
+    The LR null and the replication units run on the max_threads() workers
+    of ``_pool``; once all have ended, the grid's decisions run in the caller.
     With more than one worker, each worker's BLAS runs on one thread.
     ``lr_oracle_error`` overrides the error law of the LR null simulations;
     calibrating against the nominal unit-covariance law instead of the
@@ -356,25 +356,21 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     covariance imbalance of the generator.
     """
     engine = _Engine(config)
-    cfg = config
-    law = lr_oracle_error if lr_oracle_error is not None else cfg.error
-    n_units = (cfg.reps + _UNIT - 1) // _UNIT
+    law = lr_oracle_error if lr_oracle_error is not None else config.error
+    n_units = (config.reps + _UNIT - 1) // _UNIT
     ex = _pool(max_threads(), os.getpid())
-    lr_fut = ex.submit(_lr_critical, engine, cfg.beta_grid, law)
-    unit_futs = [ex.submit(_sample_unit, engine, u) for u in range(n_units)]
-    futs = [lr_fut, *unit_futs]
+    futs = [ex.submit(_lr_critical, engine, config.beta_grid, law),
+            *(ex.submit(_sample_unit, engine, u) for u in range(n_units))]
     try:
-        *sample, redraws = zip(*(f.result() for f in unit_futs))
-        sample = [np.concatenate(p) for p in sample]
-        rate_futs = [ex.submit(_grid_rates, engine, sample, v, c)
-                     for v, c in zip(cfg.beta_grid, lr_fut.result())]
-        futs += rate_futs
-        rates = [f.result() for f in rate_futs]
+        *sample, redraws = zip(*(f.result() for f in futs[1:]))
+        lr_crit = futs[0].result()
     finally:
         wait(futs)  # no task of this call outlives it
+    sample = [np.concatenate(p) for p in sample]
+    rates = [_grid_rates(engine, sample, v, c) for v, c in zip(config.beta_grid, lr_crit)]
     rows = {t: np.array([r[i] for r in rates]) for i, t in enumerate(TEST_NAMES)}
-    return PowerTable(grid=np.array(cfg.beta_grid), rows=rows, config=cfg,
-                      reps_used=cfg.reps, blr_redraws=sum(redraws))
+    return PowerTable(grid=np.array(config.beta_grid), rows=rows, config=config,
+                      reps_used=config.reps, blr_redraws=sum(redraws))
 
 
 def _decisions(engine: _Engine, sample, v: float, lr_crit):
@@ -404,7 +400,7 @@ def _grid_rates(engine: _Engine, sample, v: float, lr_crit: float):
 def compare_to_reference(table: PowerTable, reference_id: int) -> ComparisonReport:
     """Cell-by-cell comparison against an embedded reference table.
 
-    The pass verdict uses the LR/BLR/CLR columns: at least 90% of those
+    The pass verdict uses the GATED_TESTS columns: at least 90% of those
     cells within 0.08 absolute and all of them within 0.15.
     """
     grid_ref, cols_ref = load_reference_table(reference_id)
@@ -413,7 +409,7 @@ def compare_to_reference(table: PowerTable, reference_id: int) -> ComparisonRepo
             f"config mismatch: table grid does not match reference {reference_id}"
         )
     diffs = {t: np.abs(table.rows[t] - cols_ref[t]) for t in TEST_NAMES}
-    gated = np.concatenate([diffs[t] for t in ("LR", "BLR", "CLR")])
+    gated = np.concatenate([diffs[t] for t in GATED_TESTS])
     frac08 = float(np.mean(gated <= 0.08))
     frac15 = float(np.mean(gated <= 0.15))
     return ComparisonReport(

@@ -5,6 +5,7 @@ concentration, and the four error laws of the power study."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,12 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "q", "reps", "boot_reps", "master_seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not 1 <= self.q <= self.n / 2:
             raise ValueError(f"need 1 <= q <= n/2, got n={self.n}, q={self.q} (cosine row j "
                              f"repeats row n - j for n/2 < j < n, so Z Z' is singular)")

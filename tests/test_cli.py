@@ -9,7 +9,8 @@ import pytest
 
 import ivboot
 from ivboot.benchmark import clr_critical
-from ivboot.cli import run
+from ivboot.cli import _parse_grid, run
+from ivboot.harness import TABLE_SPECS
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -176,6 +177,23 @@ def test_bad_grid_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, grid", [
+    ("1e100:1:1e100", (1e100,)),  # a step below the spacing of doubles at start
+    ("1:0.1:1.05", (1.0,)),  # 1.1 is past end
+    ("0.48:0.08:1.76", TABLE_SPECS[1]["grid"]),
+    ("0.02:0.14:2.26", TABLE_SPECS[2]["grid"]),
+    ("-0.26:0.14:2.4", TABLE_SPECS[3]["grid"]),
+    ("0.16:0.14:2.4", TABLE_SPECS[4]["grid"]),
+    ("1e100:1:2e100", None),  # no step of it moves start towards end: a usage error
+], ids=["tiny-step", "past-end", "table1", "table2", "table3", "table4", "stuck"])
+def test_grid_steps_from_start_up_to_end(capsys, text, grid):
+    if grid is None:
+        assert run(["power", "--grid", text] + POWER) == 1
+        assert "does not move its start" in capsys.readouterr().err
+    else:
+        assert np.array(_parse_grid(text)).tobytes() == np.array(grid, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("argv, message", [
     # more indefinite weighted Grams than one bootstrap may redraw
     (["test", "--n", "20", "--q", "5", "--seed", "1"], "bootstrap aborted"),
@@ -198,10 +216,12 @@ def test_bad_grid_exits_one(capsys):
     (["test", "--beta0", "1e100", "--boot-reps", "100"], "beta0 = 1e+100 is too large"),
     (["power", "--grid", "1e100:1e100:1e100", "--reps", "10", "--boot-reps", "100"],
      "beta0 = 1e+100 is too large"),
+    (["power", "--grid", "1e100:1:1e100", "--reps", "10", "--boot-reps", "100"],
+     "beta0 = 1e+100 is too large"),
 ], ids=["test-n20", "test-n30", "diagnose-singular", "test-singular", "power-singular",
         "test-boot-reps-0", "power-boot-reps-0", "test-beta0-nan", "test-concentration-nan",
         "power-beta-star-inf", "test-alpha-1e-17", "power-alpha-1e-300", "test-beta0-1e100",
-        "power-grid-1e100"])
+        "power-grid-1e100", "power-grid-1e100-step-1"])
 def test_degenerate_runs_exit_one(capsys, argv, message):
     assert run(argv) == 1
     out, err = capsys.readouterr()
@@ -226,7 +246,11 @@ def test_config_file_with_flag_overrides(tmp_path):
 @pytest.mark.parametrize("cfg, key", [
     ({"n": 60, "q": 3, "seed": 4}, "'seed'"),
     ({"n": 60, "q": 3, "error": {"kind": "laplace", "rho": 0.5}}, "'rho'"),
-], ids=["top-level", "error"])
+    ({"n": 200.0}, "n must be an integer, got 200.0"),
+    ({"q": 5.0}, "q must be an integer, got 5.0"),
+    ({"master_seed": 7.0}, "master_seed must be an integer, got 7.0"),
+    ({"reps": 2.5}, "reps must be an integer, got 2.5"),
+], ids=["top-level", "error", "n-float", "q-float", "seed-float", "reps-float"])
 def test_config_file_unknown_key_exits_one(tmp_path, capsys, cfg, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -86,8 +86,8 @@ def test_power_curve_deterministic_rerun(monkeypatch):
 
 
 def test_clr_curve_is_built_once_by_concurrent_workers(monkeypatch):
-    # the grid's rate tasks reach the CLR curve together on both workers;
-    # its first use builds it once, not once per worker
+    # two threads reach the CLR curve together; its first use builds it
+    # once, not once per thread
     builds = []
     interpolate = Chebyshev.interpolate
 
@@ -97,8 +97,41 @@ def test_clr_curve_is_built_once_by_concurrent_workers(monkeypatch):
 
     monkeypatch.setattr(Chebyshev, "interpolate", counting_interpolate)
     benchmark._clr_curve.cache_clear()
-    _curve(monkeypatch, table_config(1, reps=harness._UNIT, boot_reps=100), 2)
+    barrier = threading.Barrier(2)
+    values = []
+
+    def first_use():
+        barrier.wait()
+        values.append(benchmark.clr_critical_values([1.0, 10.0], 5, 0.05))
+
+    threads = [threading.Thread(target=first_use) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert len(values) == 2 and np.array_equal(values[0], values[1])
     assert len(builds) == 1
+
+
+def test_power_curve_runs_one_pool_round(monkeypatch):
+    # the pool runs the LR null and the replication units, the work that
+    # draws random numbers; the grid's decisions run in the caller
+    submitted = []
+    pool = harness._pool
+
+    class CountingPool:
+        def __init__(self, ex):
+            self.ex = ex
+
+        def submit(self, fn, *args):
+            submitted.append(fn)
+            return self.ex.submit(fn, *args)
+
+    monkeypatch.setattr(harness, "_pool", lambda *key: CountingPool(pool(*key)))
+    cfg = small_config()
+    _curve(monkeypatch, cfg, 2)
+    assert len(submitted) == 1 + -(-cfg.reps // harness._UNIT)
 
 
 def test_power_curve_reuses_its_workers(monkeypatch):

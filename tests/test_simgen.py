@@ -114,6 +114,10 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(concentration=-1.0)
     for bad in (dict(boot_reps=0), dict(concentration=np.nan), dict(concentration=np.inf),
-                dict(beta_star=np.nan), dict(beta_grid=(1.0, np.nan)), dict(beta_grid=(-np.inf,))):
+                dict(beta_star=np.nan), dict(beta_grid=(1.0, np.nan)), dict(beta_grid=(-np.inf,)),
+                dict(n=200.0), dict(q=5.0), dict(reps=2.5), dict(boot_reps=100.0),
+                dict(master_seed=7.0)):
         with pytest.raises(ValueError):
             SimConfig(**bad)
+    cfg = SimConfig(n=np.int64(10), q=np.int32(5), master_seed=np.uint64(7))
+    assert (cfg.n, cfg.q, cfg.master_seed) == (10, 5, 7) and type(cfg.master_seed) is int
