@@ -186,19 +186,30 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
+# The most values a --grid may hold: each is a row of the power table.
+MAX_GRID_VALUES = 10**5
+
+
 def _parse_grid(text: str) -> tuple:
     """start + i step for i = 0, 1, ... while the value does not exceed end,
-    up to rounding; so the grid always holds start."""
+    up to rounding; so the grid always holds start.  A grid of more than
+    MAX_GRID_VALUES values is a usage error, found before any is made."""
     try:
         start, step, end = (float(v) for v in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be start:step:end, got {text!r}") from None
+    if not np.isfinite([start, step, end]).all():
+        raise argparse.ArgumentTypeError(f"grid {text!r} must be finite")
     if step <= 0 or end < start:
         raise argparse.ArgumentTypeError(f"empty grid {text!r}")
     if start + step == start and end > start:
         raise argparse.ArgumentTypeError(f"step of grid {text!r} does not move its start")
-    i = np.arange(np.floor((end - start) / step + 1e-9) + 1)
-    return tuple(np.round(start + i * step, 10))
+    count = np.floor((end - start) / step + 1e-9) + 1
+    if not count <= MAX_GRID_VALUES:
+        values = f"{count:.0f}" if np.isfinite(count) else "too many"
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has {values} values, more than {MAX_GRID_VALUES}")
+    return tuple(np.round(start + np.arange(int(count)) * step, 10))
 
 
 # Every flag of the CLI, in --help order.  A setting a command line leaves

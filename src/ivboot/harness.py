@@ -8,6 +8,7 @@ import csv
 import functools
 import io
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from importlib import resources
@@ -40,6 +41,7 @@ _UNIT = 25
 _NULL_BLOCK = 250
 
 N_NULL_SIMS = 10_000
+_N_BLOCKS = N_NULL_SIMS // _NULL_BLOCK  # a whole number of blocks
 
 # Data-generating parameters reproducing the embedded reference tables.
 # The nominal experiment descriptions (n=200, q=5, concentration ratio 4
@@ -242,48 +244,92 @@ def _sample_unit(engine: _Engine, unit: int):
                          engine.x[None, :] + eps[:, :, 1], gen)
 
 
-def _lr_critical(engine: _Engine, grid, law: ErrorSpec) -> np.ndarray:
-    """Oracle critical value at each hypothesized value v of ``grid``: the
-    upper alpha quantile of t_clr over N_NULL_SIMS null samples at beta = v.
+def _null_block(engine: _Engine, law: ErrorSpec, block: int, scratch=None,
+                keep_draws=False):
+    """Instrument projections Z e1, Z e2 of block ``block`` of the LR null:
+    its _NULL_BLOCK null samples under ``law``, drawn from stream
+    (_NULL, block).  The stream is walked in chunks of chunk_rows(16 n)
+    samples, whose e1 and e2 go to the block's (2, _NULL_BLOCK, n) buffer;
+    the block is then projected in one product, since BLAS rounds a row of
+    a product differently with the number of rows.  So a block holds that
+    buffer (0.8 MB at n = 200) and a chunk of draws.
 
-    The null errors, under ``law``, are drawn once for the whole grid, in
-    blocks of _NULL_BLOCK samples with streams (_NULL, block), and kept
-    only through their instrument projections Z e1, Z e2; the data at v
-    then project to v Z x + Z e1 and Z x + Z e2.  A block's stream is
-    walked in chunks of chunk_rows(16 n) samples, whose e1 and e2 go to
-    the block's two (_NULL_BLOCK, n) buffers; each block is then projected
-    in one product, since BLAS rounds a row of a product differently with
-    the number of rows.  So the n-vectors held are those two buffers
-    (0.8 MB at n = 200) and a chunk of draws, whatever N_NULL_SIMS is.
-    The numerator v^2 q11 of the null's T'T grows like v^4: a v where it
-    overflows (|v| above about 3e76) raises ValueError.
+    ``scratch``, a threading.local that the blocks of one null share, keeps
+    each thread's buffer from one block to the next.  With ``keep_draws`` it
+    also keeps the last chunk of draws until the next is drawn.  Drawn on
+    the main thread and freed after every block, the buffer and the draws
+    were returned to the system by glibc and faulted in again at the next
+    block: on a serial null at n = 200, about 14 000 page faults and a
+    third more time.  On the pool's workers the draws were not, and keeping
+    them there raised power-grid's peak RSS by about 3.5 MB.
     """
     cfg = engine.config
-    ze1 = np.empty((N_NULL_SIMS, cfg.q))
-    ze2 = np.empty((N_NULL_SIMS, cfg.q))
-    e1 = np.empty((_NULL_BLOCK, cfg.n))
-    e2 = np.empty((_NULL_BLOCK, cfg.n))
+    if scratch is None:
+        scratch = threading.local()
+    if getattr(scratch, "errors", None) is None:
+        scratch.errors = np.empty((2, _NULL_BLOCK, cfg.n))
+    e1, e2 = scratch.errors
+    gen = _stream(cfg, _NULL, block)
     step = chunk_rows(16 * cfg.n)
-    for block, lo in enumerate(range(0, N_NULL_SIMS, _NULL_BLOCK)):
-        gen = _stream(cfg, _NULL, block)
-        m = min(_NULL_BLOCK, N_NULL_SIMS - lo)
-        for a in range(0, m, step):
-            b = min(a + step, m)
-            eps = _gen_errors_batch(law, cfg.n, b - a, gen)
-            e1[a:b], e2[a:b] = eps[:, :, 0], eps[:, :, 1]
-        ze1[lo:lo + m] = e1[:m] @ engine.z.T
-        ze2[lo:lo + m] = e2[:m] @ engine.z.T
+    for a in range(0, _NULL_BLOCK, step):
+        b = min(a + step, _NULL_BLOCK)
+        eps = _gen_errors_batch(law, cfg.n, b - a, gen)
+        e1[a:b], e2[a:b] = eps[:, :, 0], eps[:, :, 1]
+        if keep_draws:
+            scratch.draws = eps
+    return e1 @ engine.z.T, e2 @ engine.z.T
+
+
+def _lr_quantiles(engine: _Engine, grid, ze1, ze2) -> np.ndarray:
+    """Oracle critical value at each hypothesized value v of ``grid``: the
+    upper alpha quantile of t_clr over the null samples with instrument
+    projections ``ze1`` = Z e1 and ``ze2`` = Z e2 (one row each).
+
+    The data at v project to v Z x + Z e1 and Z x + Z e2.  So with G the
+    inverse Gram, k = x'Z'G Z x, b_i = x'Z'G Z e_i and a_ij = e_i'Z'G Z e_j,
+    the profile quadratics are q11 = v^2 k + 2 v b1 + a11,
+    q12 = v (k + b2) + b1 + a12 and q22 = k + 2 b2 + a22: the moments are
+    taken once, and a grid value costs only elementwise work.  The
+    numerator v^2 q11 of the null's T'T grows like v^4: a v where it
+    overflows (|v| above about 3e76) raises ValueError.
+    """
     zx = engine.z @ engine.x
+    gx = engine.gram_inv @ zx
+    k = zx @ gx
+    b1, b2 = ze1 @ gx, ze2 @ gx
+    a11, a12, a22 = engine.quadratics(ze1, ze2)
+    kb2, q22 = k + b2, k + 2 * b2 + a22
     crit = np.empty(len(grid))
     for i, v in enumerate(grid):
         with np.errstate(over="ignore", invalid="ignore"):
-            q11, q12, q22 = engine.quadratics(v * zx + ze1, zx + ze2)
+            q11 = v * v * k + 2 * v * b1 + a11
+            q12 = v * kb2 + b1 + a12
             ss, tt, st = st_quadratics(q11, q12, q22, v)
         if not np.isfinite(tt).all():
             raise ValueError(f"beta0 = {v:g} is too large: the T'T of its LR null "
                              "simulations overflows")
-        crit[i] = empirical_upper_quantile(tclr_from(ss, tt, st), cfg.alpha)
+        crit[i] = empirical_upper_quantile(tclr_from(ss, tt, st), engine.config.alpha)
     return crit
+
+
+def _lr_critical(engine: _Engine, grid, law: ErrorSpec) -> np.ndarray:
+    """Oracle critical value at each hypothesized value v of ``grid``: the
+    upper alpha quantile of t_clr over N_NULL_SIMS null samples at beta = v
+    under ``law``.  This is the serial path of oracle_lr_critical: the
+    _null_block of each block in block order, then _lr_quantiles, the same
+    two halves that power_curve runs with the blocks as pool tasks.  It
+    holds one block's buffer, a chunk of draws and the (N_NULL_SIMS, q)
+    projections, whatever N_NULL_SIMS is.  The blocks' projections are
+    written in place: kept as a list of small arrays, they interleaved with
+    the draws on the heap and made glibc return the draws' pages, as above."""
+    cfg = engine.config
+    ze1 = np.empty((N_NULL_SIMS, cfg.q))
+    ze2 = np.empty((N_NULL_SIMS, cfg.q))
+    scratch = threading.local()
+    for block in range(_N_BLOCKS):
+        rows = slice(block * _NULL_BLOCK, (block + 1) * _NULL_BLOCK)
+        ze1[rows], ze2[rows] = _null_block(engine, law, block, scratch, keep_draws=True)
+    return _lr_quantiles(engine, grid, ze1, ze2)
 
 
 def _clr_critical_curve(tt: np.ndarray, q: int, alpha: float) -> np.ndarray:
@@ -331,7 +377,9 @@ def _pool(n_threads: int, pid: int) -> ThreadPoolExecutor:
     would step up at random over its calls.  The step was about 13 MB when
     each draw was one block; glibc keeps up to about twice the largest
     freed array at an arena's top, and the draws now free arrays of about
-    1 MB at n = 200 (a chunk of draws, a null block's buffers)."""
+    1 MB at n = 200 (a chunk of draws).  Its tasks are the replication
+    units and the LR null's blocks; each worker keeps one null block's
+    buffer for the length of a call (see _null_block)."""
     initializer = _one_blas_thread if n_threads > 1 else None
     return ThreadPoolExecutor(max_workers=n_threads, initializer=initializer)
 
@@ -347,9 +395,14 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     depends only on the config and that value, not on the rest of the grid.
     Every stream is keyed by (role, unit) and replication units have a
     fixed size, so results are identical for any thread count.
-    The LR null and the replication units run on the max_threads() workers
-    of ``_pool``; once all have ended, the grid's decisions run in the caller.
-    With more than one worker, each worker's BLAS runs on one thread.
+    The LR null's _N_BLOCKS blocks (_null_block) and the replication units
+    run as one list of tasks on the max_threads() workers of ``_pool``, the
+    units spread evenly among the blocks: a unit holds the interpreter lock
+    for most of its run while a block's draws release it, so a unit beside
+    a block overlaps where two units would take turns.  Once all have
+    ended, the caller takes the LR critical values from the blocks'
+    projections (_lr_quantiles) and runs the grid's decisions.  With more
+    than one worker, each worker's BLAS runs on one thread.
     ``lr_oracle_error`` overrides the error law of the LR null simulations;
     calibrating against the nominal unit-covariance law instead of the
     configured one reproduces reference runs whose oracle ignored the
@@ -359,13 +412,19 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     law = lr_oracle_error if lr_oracle_error is not None else config.error
     n_units = (config.reps + _UNIT - 1) // _UNIT
     ex = _pool(max_threads(), os.getpid())
-    futs = [ex.submit(_lr_critical, engine, config.beta_grid, law),
-            *(ex.submit(_sample_unit, engine, u) for u in range(n_units))]
+    # unit u at u / n_units and block b at b / _N_BLOCKS, a unit first on a tie
+    order = sorted([(u * _N_BLOCKS, _SAMPLE, u) for u in range(n_units)]
+                   + [(b * n_units, _NULL, b) for b in range(_N_BLOCKS)])
+    scratch = threading.local()
+    futs = {(role, i): ex.submit(_sample_unit, engine, i) if role == _SAMPLE
+            else ex.submit(_null_block, engine, law, i, scratch) for _, role, i in order}
     try:
-        *sample, redraws = zip(*(f.result() for f in futs[1:]))
-        lr_crit = futs[0].result()
+        *sample, redraws = zip(*(futs[_SAMPLE, u].result() for u in range(n_units)))
+        null = [futs[_NULL, b].result() for b in range(_N_BLOCKS)]
     finally:
-        wait(futs)  # no task of this call outlives it
+        wait(futs.values())  # no task of this call outlives it
+    lr_crit = _lr_quantiles(engine, config.beta_grid,
+                            *(np.concatenate(z) for z in zip(*null)))
     sample = [np.concatenate(p) for p in sample]
     rates = [_grid_rates(engine, sample, v, c) for v, c in zip(config.beta_grid, lr_crit)]
     rows = {t: np.array([r[i] for r in rates]) for i, t in enumerate(TEST_NAMES)}

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import pytest
 
 import ivboot
 from ivboot.benchmark import clr_critical
-from ivboot.cli import _parse_grid, run
+from ivboot.cli import MAX_GRID_VALUES, _parse_grid, run
 from ivboot.harness import TABLE_SPECS
 
 
@@ -177,6 +178,12 @@ def test_bad_grid_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["nan:1:2", "0:1:inf"])
+def test_non_finite_grid_exits_one(capsys, text):
+    assert run(["power", "--grid", text] + POWER) == 1
+    assert f"grid {text!r} must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, grid", [
     ("1e100:1:1e100", (1e100,)),  # a step below the spacing of doubles at start
     ("1:0.1:1.05", (1.0,)),  # 1.1 is past end
@@ -192,6 +199,30 @@ def test_grid_steps_from_start_up_to_end(capsys, text, grid):
         assert "does not move its start" in capsys.readouterr().err
     else:
         assert np.array(_parse_grid(text)).tobytes() == np.array(grid, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("text, count", [
+    ("0:1e-15:1", "1000000000000000"),  # 7 PiB of grid values
+    ("0:5e-324:1", "too many"),  # the count itself overflows
+], ids=["7-PiB", "count-overflows"])
+def test_oversized_grid_is_a_usage_error(text, count):
+    # the count is checked before any value is made: no traceback, no memory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ivboot.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "ivboot.cli", "power", "--grid", text],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert (f"error: argument --grid: grid {text!r} has {count} values, "
+            f"more than {MAX_GRID_VALUES}") in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_grid_holds_at_most_max_grid_values():
+    grid = _parse_grid(f"0:1:{MAX_GRID_VALUES - 1}")
+    assert len(grid) == MAX_GRID_VALUES and grid[-1] == MAX_GRID_VALUES - 1
+    with pytest.raises(argparse.ArgumentTypeError, match=f"has {MAX_GRID_VALUES + 1} values"):
+        _parse_grid(f"0:1:{MAX_GRID_VALUES}")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import os
 import threading
@@ -6,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from numpy.polynomial import Chebyshev
 
 from ivboot import ErrorSpec, SimConfig, basis, benchmark, harness
@@ -115,8 +119,9 @@ def test_clr_curve_is_built_once_by_concurrent_workers(monkeypatch):
 
 
 def test_power_curve_runs_one_pool_round(monkeypatch):
-    # the pool runs the LR null and the replication units, the work that
-    # draws random numbers; the grid's decisions run in the caller
+    # the pool runs the LR null's blocks and the replication units, the work
+    # that draws random numbers, the units spread evenly among the blocks;
+    # the grid's decisions run in the caller
     submitted = []
     pool = harness._pool
 
@@ -129,9 +134,11 @@ def test_power_curve_runs_one_pool_round(monkeypatch):
             return self.ex.submit(fn, *args)
 
     monkeypatch.setattr(harness, "_pool", lambda *key: CountingPool(pool(*key)))
-    cfg = small_config()
+    cfg = small_config()  # two units
     _curve(monkeypatch, cfg, 2)
-    assert len(submitted) == 1 + -(-cfg.reps // harness._UNIT)
+    assert len(submitted) == harness._N_BLOCKS + 2
+    units = [i for i, fn in enumerate(submitted) if fn is harness._sample_unit]
+    assert units == [0, 1 + harness._N_BLOCKS // 2]
 
 
 def test_power_curve_reuses_its_workers(monkeypatch):
@@ -153,20 +160,22 @@ def test_power_curve_reuses_its_workers(monkeypatch):
 
 def test_power_curve_waits_for_its_tasks_when_one_fails(monkeypatch):
     done = []
+    null_block = harness._null_block
 
-    def slow_oracle(*args):
-        time.sleep(0.2)
+    def slow_block(*args):
+        time.sleep(0.01)
+        result = null_block(*args)
         done.append(True)
-        return np.zeros(3)
+        return result
 
     def failing_unit(engine, unit):
         raise RuntimeError("unit failed")
 
-    monkeypatch.setattr(harness, "_lr_critical", slow_oracle)
+    monkeypatch.setattr(harness, "_null_block", slow_block)
     monkeypatch.setattr(harness, "_sample_unit", failing_unit)
     with pytest.raises(RuntimeError, match="unit failed"):
         _curve(monkeypatch, small_config(), 2)
-    assert done == [True]
+    assert len(done) == harness._N_BLOCKS
 
 
 def test_power_curve_u_shape_and_signal(monkeypatch):
@@ -238,23 +247,47 @@ def test_table_config_round_trip():
         table_config(9)
 
 
-def test_oracle_lr_critical_is_null_quantile(monkeypatch):
+def _recorded_lr_quantiles(monkeypatch, config, threads, lr_oracle_error=None):
+    """The table of power_curve on ``threads`` workers and the LR critical
+    values that it takes from _lr_quantiles in the caller."""
     seen = []
-    kernel = harness._lr_critical
+    kernel = harness._lr_quantiles
 
-    def recording(*args, **kwargs):
-        seen.append(kernel(*args, **kwargs))
+    def recording(*args):
+        seen.append(kernel(*args))
         return seen[-1]
 
-    monkeypatch.setattr(harness, "_lr_critical", recording)
+    monkeypatch.setattr(harness, "_lr_quantiles", recording)
+    monkeypatch.setenv("IVBOOT_THREADS", str(threads))
+    table = power_curve(config, lr_oracle_error)
+    monkeypatch.setattr(harness, "_lr_quantiles", kernel)
+    assert len(seen) == 1
+    return table, seen[0]
+
+
+def test_oracle_lr_critical_is_null_quantile(monkeypatch):
     cfg = small_config(beta_grid=(0.7, 1.0), reps=400)
-    t = _curve(monkeypatch, cfg, 2)
+    t, curve_crits = _recorded_lr_quantiles(monkeypatch, cfg, 2)
     # rejection rate of null data against the oracle critical value ~ alpha
     assert 0.01 <= t.column("LR")[1] <= 0.12
     # the scalar oracle is the power curve's LR kernel with a grid of one
-    curve_crits = seen[0]
     for v, crit in zip(cfg.beta_grid, curve_crits):
         assert oracle_lr_critical(cfg, v) == crit
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("law", [None, ErrorSpec("laplace")], ids=["config-law", "override"])
+def test_pooled_lr_null_is_the_serial_one(monkeypatch, threads, law):
+    # the null's blocks run as pool tasks beside the units, in any order on
+    # any worker, and still give the serial oracle's critical values under
+    # the null's law bit for bit, here also at two of table 3's negative
+    # values, 0 and 1e4
+    cfg = small_config(beta_grid=(-0.26, -0.12, 0.0, 0.7, 1.0, 1.3, 1e4), reps=30,
+                       boot_reps=100)
+    _, curve_crits = _recorded_lr_quantiles(monkeypatch, cfg, threads, law)
+    null_cfg = cfg if law is None else dataclasses.replace(cfg, error=law)
+    serial = np.array([oracle_lr_critical(null_cfg, v) for v in cfg.beta_grid])
+    assert curve_crits.tobytes() == serial.tobytes()
 
 
 # a chunk of one draw row or null sample, and one chunk for every block
@@ -333,6 +366,20 @@ def test_lr_null_memory_is_one_block_of_projections():
     assert peak < block + 8 * basis.DRAW_BUDGET
 
 
+def test_pooled_lr_null_memory_is_one_block_per_worker(monkeypatch):
+    # power_curve's null blocks run on the pool: each worker holds one
+    # block's e1 and e2 (7.6 MB) and a chunk of draws at a time; the rest,
+    # about 3-4 MB, is the blocks' projections, their moments and the unit.
+    # A third block's buffer would pass the bound
+    monkeypatch.setattr(basis, "DRAW_BUDGET", 1 << 18)  # 8 samples a chunk at n = 2000
+    cfg = SimConfig(n=2000, q=5, concentration=2000 * 4.0, beta_grid=(1.0,), reps=1,
+                    boot_reps=100)
+    block = 2 * harness._NULL_BLOCK * cfg.n * 8
+    monkeypatch.setenv("IVBOOT_THREADS", "2")
+    peak = _traced_peak(lambda: power_curve(cfg))
+    assert peak < 2 * block + 6 * 2**20 < 3 * block
+
+
 def test_table_lr_null_memory():
     # table 1's null at n = 200 over its 17 grid values: 12 MB with
     # 2500-sample blocks, 5 MB with 250-sample ones
@@ -342,25 +389,73 @@ def test_table_lr_null_memory():
     assert peak < 6 * 2**20
 
 
-@pytest.mark.parametrize("kind", ["gauss", "laplace", "hetero_linear", "hetero_periodic"])
+KINDS = ["gauss", "laplace", "hetero_linear", "hetero_periodic"]
+
+
+def _null_config(kind):
+    return small_config(n=40, error=ErrorSpec(kind, np.array([[1.5, 0.4], [0.4, 0.7]])))
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_lr_null_streams_are_its_blocks(kind):
     # block b of the null is _NULL_BLOCK samples drawn at once from stream
-    # (_NULL, b) and projected in one product
-    cfg = small_config(n=40, error=ErrorSpec(kind, np.array([[1.5, 0.4], [0.4, 0.7]])))
+    # (_NULL, b) and projected in one product, with or without the scratch
+    # that the blocks of one null share, and whether or not it keeps draws
+    cfg = _null_config(kind)
     engine = harness._Engine(cfg)
-    blocks = [harness._gen_errors_batch(cfg.error, cfg.n, harness._NULL_BLOCK,
+    scratch = threading.local()
+    for b in range(harness._N_BLOCKS):
+        eps = harness._gen_errors_batch(cfg.error, cfg.n, harness._NULL_BLOCK,
                                         harness._stream(cfg, harness._NULL, b))
-              for b in range(harness.N_NULL_SIMS // harness._NULL_BLOCK)]
-    ze1, ze2 = (np.concatenate([np.ascontiguousarray(eps[:, :, i]) @ engine.z.T
-                                for eps in blocks]) for i in (0, 1))
+        expected = [(np.ascontiguousarray(eps[:, :, i]) @ engine.z.T).tobytes() for i in (0, 1)]
+        for got in (harness._null_block(engine, cfg.error, b),
+                    harness._null_block(engine, cfg.error, b, scratch),
+                    harness._null_block(engine, cfg.error, b, scratch, keep_draws=True)):
+            assert [z.tobytes() for z in got] == expected
+
+
+@functools.cache
+def _null_projections(kind, n_blocks=8):
+    cfg = _null_config(kind)
+    engine = harness._Engine(cfg)
+    blocks = [harness._null_block(engine, cfg.error, b) for b in range(n_blocks)]
+    return engine, *(np.concatenate(z) for z in zip(*blocks))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=hs.sampled_from(KINDS),
+       v=hs.one_of(hs.sampled_from([0.0, 1e-8, -1e-8, -0.26, -0.12, 1e8, -1e8]),
+                   hs.floats(-1e8, 1e8), hs.floats(-3.0, 3.0)))
+def test_lr_quantiles_match_the_direct_quadratics(kind, v):
+    # _lr_quantiles takes the null's quadratics at v from moments of Z e1,
+    # Z e2 and Z x, not from v Z x + Z e1 and Z x + Z e2: they agree to
+    # rounding, relative to the Cauchy-Schwarz bound of each entry, and the
+    # critical values to 1e-12 relative (they round differently on purpose)
+    engine, ze1, ze2 = _null_projections(kind)
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return benchmark.st_quadratics(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "st_quadratics", recording)
+        crit = harness._lr_quantiles(engine, (v,), ze1, ze2)[0]
+    (q11, q12, q22, _), = seen
     zx = engine.z @ engine.x
-    expected = []
-    for v in cfg.beta_grid:
-        q11, q12, q22 = engine.quadratics(v * zx + ze1, zx + ze2)
-        expected.append(empirical_upper_quantile(
-            benchmark.tclr_from(*benchmark.st_quadratics(q11, q12, q22, v)), cfg.alpha))
-    got = harness._lr_critical(engine, cfg.beta_grid, cfg.error)
-    assert got.tobytes() == np.array(expected).tobytes()
+    y1, y2 = v * zx + ze1, zx + ze2
+    direct = engine.quadratics(y1, y2)
+
+    def norm(a):
+        return np.sqrt(np.einsum("...j,jk,...k->...", a, engine.gram_inv, a))
+
+    n1 = abs(v) * norm(zx) + norm(ze1)
+    n2 = norm(zx) + norm(ze2)
+    for got, want, bound in zip((q11, q12, q22), direct, (n1 * n1, n1 * n2, n2 * n2)):
+        assert np.all(np.abs(got - want) <= 1e-14 * bound)
+    want = empirical_upper_quantile(
+        benchmark.tclr_from(*benchmark.st_quadratics(*direct, v)), engine.config.alpha)
+    assert crit == pytest.approx(want, rel=1e-12)
 
 
 def test_lr_null_at_large_beta0_converges():
