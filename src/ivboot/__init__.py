@@ -39,22 +39,16 @@ from .bootstrap import (
     RetryDrawError,
     TestOutcome,
     blr_test,
-    boot_loglik,
     boot_quantile,
     boot_wilks_gap,
     t_blr,
 )
 from .benchmark import (
-    STPair,
     ams_blr_statistic,
     ams_lr_statistic,
     ams_profile_loglik,
     clr_critical,
     profile_sup,
-    st_vectors,
-    t_ar,
-    t_clr,
-    t_lm,
 )
 from .simgen import ErrorSpec, SimConfig, gen_errors, gen_pi, gen_sample
 from .harness import (

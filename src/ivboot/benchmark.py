@@ -9,35 +9,13 @@ import functools
 import math
 import operator
 import threading
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .basis import GeneralDesign, IvSample
 from .bootstrap import RetryDrawError
-from .quasilik import (SingularNuisanceError, _coordinate_dot, _inv_sqrt_psd,
-                       packed_cholesky_solve)
-
-
-@dataclass(frozen=True)
-class STPair:
-    """Sufficient-statistic vectors for a hypothesized beta0."""
-
-    s: np.ndarray
-    t: np.ndarray
-    beta0: float
-
-
-def st_vectors(sample: IvSample, beta0: float) -> STPair:
-    """S and T vectors at beta0, with the symmetric square root of the
-    instrument Gram matrix and the error covariance taken as the identity."""
-    z = sample.z
-    gram_inv_sqrt = _inv_sqrt_psd(z @ z.T)
-    norm = np.sqrt(1.0 + beta0 * beta0)
-    s = gram_inv_sqrt @ (z @ (sample.y1 - beta0 * sample.y2)) / norm
-    t = gram_inv_sqrt @ (z @ (beta0 * sample.y1 + sample.y2)) / norm
-    return STPair(s=s, t=t, beta0=float(beta0))
+from .quasilik import SingularNuisanceError, _coordinate_dot, packed_cholesky_solve
 
 
 def st_quadratics(q11, q12, q22, v):
@@ -154,26 +132,6 @@ def chi2_ppf(p, df):
             return x_new
         x = x_new
     raise ArithmeticError(f"chi2_ppf did not converge at p={p}, df={df}")
-
-
-def t_clr(pair: STPair) -> float:
-    """S'S - T'T + sqrt((S'S - T'T)^2 + 4 (S'T)^2), always >= 0."""
-    return float(tclr_from(float(pair.s @ pair.s), float(pair.t @ pair.t),
-                           float(pair.s @ pair.t)))
-
-
-def t_lm(pair: STPair) -> float:
-    """(S'T)^2 / T'T, compared against the chi-square(1) quantile."""
-    tt = float(pair.t @ pair.t)
-    if tt <= 0.0:
-        raise ValueError("T'T = 0: the Lagrange-multiplier statistic is undefined")
-    return lm_from(tt, float(pair.s @ pair.t))
-
-
-def t_ar(pair: STPair, n_instruments: Optional[int] = None) -> float:
-    """S'S / J, compared against the chi-square(J)/J quantile."""
-    J = n_instruments if n_instruments is not None else pair.s.size
-    return ar_from(float(pair.s @ pair.s), J)
 
 
 def _chi2_cdf(x, df):
@@ -397,10 +355,10 @@ def profile_sup(sample: IvSample, weights: Optional[np.ndarray] = None):
 def ams_lr_statistic(sample: IvSample, beta0: float) -> float:
     """Likelihood-ratio statistic of H0: beta = beta0 on the t_clr scale.
 
-    Evaluates 4 * [sup_beta profile - profile(beta0)]; this equals
-    t_clr(st_vectors(sample, beta0)) exactly.  (The t_clr convention is
-    twice the usual 2-log-likelihood-ratio, hence the factor 4 here rather
-    than 2.)
+    Evaluates 4 * [sup_beta profile - profile(beta0)]; in exact arithmetic
+    this is tclr_from of the sample's st_quadratics at beta0, the statistic
+    of the power harness.  (The t_clr convention is twice the usual
+    2-log-likelihood-ratio, hence the factor 4 here rather than 2.)
     """
     _, sup_val = profile_sup(sample)
     prof0 = ams_profile_loglik(sample, beta0)

@@ -1,7 +1,7 @@
 """Multiplier bootstrap for the quasi log-likelihood: Gaussian N(1,1)
-weights, the weighted objective, the bootstrap likelihood-ratio statistic
-centered at the full-sample fit, empirical critical values, the test
-decision, and the draw-and-redraw kernel of every multiplier bootstrap."""
+weights, the bootstrap likelihood-ratio statistic centered at the
+full-sample fit, empirical critical values, the test decision, and the
+draw-and-redraw kernel of every multiplier bootstrap."""
 
 from __future__ import annotations
 
@@ -60,21 +60,6 @@ class BootstrapRun:
     alpha: float
     n_retries: int = 0
     dim: int = 0
-
-
-def boot_loglik(design: GeneralDesign, weights, theta) -> float:
-    """Weighted quasi log-likelihood: observation i's residual terms and its
-    1/n penalty share are both multiplied by u_i.  The bootstrap itself works
-    on sums of ``quasilik.lr_features``; this direct form is the reference
-    evaluator that the tests maximize against it."""
-    u = np.asarray(weights, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if u.shape != (design.n_obs,):
-        raise ValueError(f"weights must be ({design.n_obs},), got {u.shape}")
-    resid = design.zk - np.einsum("kij,j->ki", design.eta, theta)  # (K, n)
-    per_obs = -0.5 * np.sum(resid * resid, axis=0)  # (n,)
-    pen = 0.5 * design.penalty * float(theta @ theta)
-    return float(u @ per_obs - pen * u.sum() / design.n_obs)
 
 
 def t_blr(design: GeneralDesign, weights, projector,

@@ -244,24 +244,17 @@ def _sample_unit(engine: _Engine, unit: int):
                          engine.x[None, :] + eps[:, :, 1], gen)
 
 
-def _null_block(engine: _Engine, law: ErrorSpec, block: int, scratch=None,
-                keep_draws=False):
+def _null_block(engine: _Engine, law: ErrorSpec, block: int, scratch=None):
     """Instrument projections Z e1, Z e2 of block ``block`` of the LR null:
     its _NULL_BLOCK null samples under ``law``, drawn from stream
     (_NULL, block).  The stream is walked in chunks of chunk_rows(16 n)
     samples, whose e1 and e2 go to the block's (2, _NULL_BLOCK, n) buffer;
     the block is then projected in one product, since BLAS rounds a row of
     a product differently with the number of rows.  So a block holds that
-    buffer (0.8 MB at n = 200) and a chunk of draws.
-
-    ``scratch``, a threading.local that the blocks of one null share, keeps
-    each thread's buffer from one block to the next.  With ``keep_draws`` it
-    also keeps the last chunk of draws until the next is drawn.  Drawn on
-    the main thread and freed after every block, the buffer and the draws
-    were returned to the system by glibc and faulted in again at the next
-    block: on a serial null at n = 200, about 14 000 page faults and a
-    third more time.  On the pool's workers the draws were not, and keeping
-    them there raised power-grid's peak RSS by about 3.5 MB.
+    buffer (0.8 MB at n = 200) and a chunk of draws.  ``scratch``, a
+    threading.local that the blocks of one pool round share, keeps each
+    worker's buffer from one block to the next, so glibc does not return
+    it to the system and fault it in again at every block.
     """
     cfg = engine.config
     if scratch is None:
@@ -275,8 +268,6 @@ def _null_block(engine: _Engine, law: ErrorSpec, block: int, scratch=None,
         b = min(a + step, _NULL_BLOCK)
         eps = _gen_errors_batch(law, cfg.n, b - a, gen)
         e1[a:b], e2[a:b] = eps[:, :, 0], eps[:, :, 1]
-        if keep_draws:
-            scratch.draws = eps
     return e1 @ engine.z.T, e2 @ engine.z.T
 
 
@@ -315,20 +306,9 @@ def _lr_quantiles(engine: _Engine, grid, ze1, ze2) -> np.ndarray:
 def _lr_critical(engine: _Engine, grid, law: ErrorSpec) -> np.ndarray:
     """Oracle critical value at each hypothesized value v of ``grid``: the
     upper alpha quantile of t_clr over N_NULL_SIMS null samples at beta = v
-    under ``law``.  This is the serial path of oracle_lr_critical: the
-    _null_block of each block in block order, then _lr_quantiles, the same
-    two halves that power_curve runs with the blocks as pool tasks.  It
-    holds one block's buffer, a chunk of draws and the (N_NULL_SIMS, q)
-    projections, whatever N_NULL_SIMS is.  The blocks' projections are
-    written in place: kept as a list of small arrays, they interleaved with
-    the draws on the heap and made glibc return the draws' pages, as above."""
-    cfg = engine.config
-    ze1 = np.empty((N_NULL_SIMS, cfg.q))
-    ze2 = np.empty((N_NULL_SIMS, cfg.q))
-    scratch = threading.local()
-    for block in range(_N_BLOCKS):
-        rows = slice(block * _NULL_BLOCK, (block + 1) * _NULL_BLOCK)
-        ze1[rows], ze2[rows] = _null_block(engine, law, block, scratch, keep_draws=True)
+    under ``law``.  The LR null of oracle_lr_critical: a _pool_round with
+    no replication units, then _lr_quantiles, as in power_curve."""
+    _, ze1, ze2 = _pool_round(engine, law, 0)
     return _lr_quantiles(engine, grid, ze1, ze2)
 
 
@@ -341,8 +321,9 @@ def _clr_critical_curve(tt: np.ndarray, q: int, alpha: float) -> np.ndarray:
 def oracle_lr_critical(config: SimConfig, beta0: float) -> float:
     """Critical value of the profile LR statistic from null simulations:
     data at beta = beta0 under the configured error law.  This is the LR
-    kernel of power_curve with a grid of one, so it equals the power
-    curve's critical value at beta0."""
+    null of power_curve, its blocks run by the same pool round, with a
+    grid of one, so it equals the power curve's critical value at beta0
+    at any thread count."""
     return float(_lr_critical(_Engine(config), (beta0,), config.error)[0])
 
 
@@ -369,8 +350,8 @@ def _one_blas_thread():
 
 @functools.cache
 def _pool(n_threads: int, pid: int) -> ThreadPoolExecutor:
-    """The worker pool of power_curve for ``n_threads`` workers, kept for the
-    life of process ``pid`` (a forked child builds its own).  A pool per
+    """The worker pool of _pool_round for ``n_threads`` workers, kept for
+    the life of process ``pid`` (a forked child builds its own).  A pool per
     call would start new threads on every call, and glibc gives a thread
     that starts while a joined worker is still exiting a new malloc arena;
     each such arena keeps freed arrays resident, so a process's peak RSS
@@ -379,9 +360,34 @@ def _pool(n_threads: int, pid: int) -> ThreadPoolExecutor:
     freed array at an arena's top, and the draws now free arrays of about
     1 MB at n = 200 (a chunk of draws).  Its tasks are the replication
     units and the LR null's blocks; each worker keeps one null block's
-    buffer for the length of a call (see _null_block)."""
+    buffer for the length of a round (see _null_block)."""
     initializer = _one_blas_thread if n_threads > 1 else None
     return ThreadPoolExecutor(max_workers=n_threads, initializer=initializer)
+
+
+def _pool_round(engine: _Engine, law: ErrorSpec, n_units: int):
+    """The work of a power curve that draws random numbers: replication
+    units 0, ..., n_units - 1 (_sample_unit) and the LR null's _N_BLOCKS
+    blocks under ``law`` (_null_block), run as one list of tasks on the
+    max_threads() workers of ``_pool``, the units spread evenly among the
+    blocks.  A unit holds the interpreter lock for most of its run while a
+    block's draws release it, so a unit beside a block overlaps where two
+    units would take turns.  Every task has ended when this returns, also
+    when one fails.  Returns the units' results in unit order and the
+    blocks' projections Z e1, Z e2, each concatenated in block order."""
+    ex = _pool(max_threads(), os.getpid())
+    # unit u at u / n_units and block b at b / _N_BLOCKS, a unit first on a tie
+    order = sorted([(u * _N_BLOCKS, _SAMPLE, u) for u in range(n_units)]
+                   + [(b * n_units, _NULL, b) for b in range(_N_BLOCKS)])
+    scratch = threading.local()
+    futs = {(role, i): ex.submit(_sample_unit, engine, i) if role == _SAMPLE
+            else ex.submit(_null_block, engine, law, i, scratch) for _, role, i in order}
+    try:
+        units = [futs[_SAMPLE, u].result() for u in range(n_units)]
+        null = [futs[_NULL, b].result() for b in range(_N_BLOCKS)]
+    finally:
+        wait(futs.values())  # no task of this round outlives it
+    return units, *(np.concatenate(z) for z in zip(*null))
 
 
 def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
@@ -395,14 +401,10 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     depends only on the config and that value, not on the rest of the grid.
     Every stream is keyed by (role, unit) and replication units have a
     fixed size, so results are identical for any thread count.
-    The LR null's _N_BLOCKS blocks (_null_block) and the replication units
-    run as one list of tasks on the max_threads() workers of ``_pool``, the
-    units spread evenly among the blocks: a unit holds the interpreter lock
-    for most of its run while a block's draws release it, so a unit beside
-    a block overlaps where two units would take turns.  Once all have
-    ended, the caller takes the LR critical values from the blocks'
-    projections (_lr_quantiles) and runs the grid's decisions.  With more
-    than one worker, each worker's BLAS runs on one thread.
+    The replication units and the LR null's blocks run in one _pool_round.
+    Once all have ended, the caller takes the LR critical values from the
+    blocks' projections (_lr_quantiles) and runs the grid's decisions.
+    With more than one worker, each worker's BLAS runs on one thread.
     ``lr_oracle_error`` overrides the error law of the LR null simulations;
     calibrating against the nominal unit-covariance law instead of the
     configured one reproduces reference runs whose oracle ignored the
@@ -411,20 +413,9 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     engine = _Engine(config)
     law = lr_oracle_error if lr_oracle_error is not None else config.error
     n_units = (config.reps + _UNIT - 1) // _UNIT
-    ex = _pool(max_threads(), os.getpid())
-    # unit u at u / n_units and block b at b / _N_BLOCKS, a unit first on a tie
-    order = sorted([(u * _N_BLOCKS, _SAMPLE, u) for u in range(n_units)]
-                   + [(b * n_units, _NULL, b) for b in range(_N_BLOCKS)])
-    scratch = threading.local()
-    futs = {(role, i): ex.submit(_sample_unit, engine, i) if role == _SAMPLE
-            else ex.submit(_null_block, engine, law, i, scratch) for _, role, i in order}
-    try:
-        *sample, redraws = zip(*(futs[_SAMPLE, u].result() for u in range(n_units)))
-        null = [futs[_NULL, b].result() for b in range(_N_BLOCKS)]
-    finally:
-        wait(futs.values())  # no task of this call outlives it
-    lr_crit = _lr_quantiles(engine, config.beta_grid,
-                            *(np.concatenate(z) for z in zip(*null)))
+    units, ze1, ze2 = _pool_round(engine, law, n_units)
+    *sample, redraws = zip(*units)
+    lr_crit = _lr_quantiles(engine, config.beta_grid, ze1, ze2)
     sample = [np.concatenate(p) for p in sample]
     rates = [_grid_rates(engine, sample, v, c) for v, c in zip(config.beta_grid, lr_crit)]
     rows = {t: np.array([r[i] for r in rates]) for i, t in enumerate(TEST_NAMES)}

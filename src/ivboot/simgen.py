@@ -80,6 +80,8 @@ class SimConfig:
         if not math.isfinite(self.beta_star):
             raise ValueError(f"beta_star must be finite, got {self.beta_star}")
         object.__setattr__(self, "beta_grid", tuple(float(v) for v in self.beta_grid))
+        if not self.beta_grid:
+            raise ValueError("beta_grid must hold at least one value, got an empty grid")
         if not all(map(math.isfinite, self.beta_grid)):
             raise ValueError(f"beta_grid values must be finite, got {self.beta_grid}")
 

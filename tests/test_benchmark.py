@@ -13,7 +13,6 @@ from scipy.stats import chi2
 
 from ivboot import IvSample, RngStream, SimConfig, cosine_design
 from ivboot.benchmark import (
-    STPair,
     _sup_profile_g,
     ams_blr_statistic,
     ams_lr_statistic,
@@ -24,16 +23,14 @@ from ivboot.benchmark import (
     profile_features,
     profile_from_sums,
     profile_sup,
-    st_vectors,
-    t_ar,
-    t_clr,
-    t_lm,
     tclr_from,
 )
 from ivboot.bootstrap import RetryDrawError
 from ivboot.harness import _Engine, table_config
 from ivboot.quasilik import SingularNuisanceError
 from ivboot.simgen import _gen_errors_batch, gen_sample
+
+from conftest import STPair, st_vectors, t_ar, t_clr, t_lm
 
 
 def make_sample(seed=0, beta=1.0, n=80, q=4, noise=1.0):

@@ -4,7 +4,6 @@ import pytest
 from ivboot import GeneralDesign, RngStream, RetryDrawError
 from ivboot.bootstrap import (
     blr_test,
-    boot_loglik,
     boot_quantile,
     boot_wilks_gap,
     empirical_upper_quantile,
@@ -12,7 +11,8 @@ from ivboot.bootstrap import (
 )
 from ivboot.quasilik import loglik, mle, t_lr
 
-from conftest import H0_PROJECTOR, THETA_FEASIBLE, population_fisher, random_cosine_design
+from conftest import (H0_PROJECTOR, THETA_FEASIBLE, boot_loglik, population_fisher,
+                      random_cosine_design)
 
 
 def test_boot_loglik_unit_weights_reduce(gen):

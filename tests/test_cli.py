@@ -108,6 +108,30 @@ def test_bad_thread_env_exits_one(capsys, monkeypatch, value):
     assert repr(value) in err
 
 
+def test_test_reads_the_thread_env(capsys, monkeypatch):
+    # the LR null of `test` runs on the pool of `power`, so it reads the
+    # same variable
+    monkeypatch.setenv("IVBOOT_THREADS", "0")
+    assert run(["test"] + MODEL + BOOT) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: IVBOOT_THREADS must be a positive integer")
+
+
+@pytest.mark.parametrize("law", ["gauss", "laplace", "hetero-linear", "hetero-periodic"])
+def test_test_identical_across_thread_env(tmp_path, monkeypatch, law):
+    # the blocks of the LR null run on any worker in any order: the JSON of
+    # `test` is the same at any thread count
+    argv = ["test", "--beta0", "0.9", "--error", law] + MODEL + BOOT
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.json"
+        monkeypatch.setenv("IVBOOT_THREADS", threads)
+        assert run(argv + ["--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_power_json_format(tmp_path):
     out = tmp_path / "p.json"
     assert run(["power", "--grid", "0.9:0.2:1.1"] + POWER + ["--format", "json",
@@ -281,7 +305,8 @@ def test_config_file_with_flag_overrides(tmp_path):
     ({"q": 5.0}, "q must be an integer, got 5.0"),
     ({"master_seed": 7.0}, "master_seed must be an integer, got 7.0"),
     ({"reps": 2.5}, "reps must be an integer, got 2.5"),
-], ids=["top-level", "error", "n-float", "q-float", "seed-float", "reps-float"])
+    ({"beta_grid": []}, "beta_grid must hold at least one value"),
+], ids=["top-level", "error", "n-float", "q-float", "seed-float", "reps-float", "empty-grid"])
 def test_config_file_unknown_key_exits_one(tmp_path, capsys, cfg, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -118,10 +118,9 @@ def test_clr_curve_is_built_once_by_concurrent_workers(monkeypatch):
     assert len(builds) == 1
 
 
-def test_power_curve_runs_one_pool_round(monkeypatch):
-    # the pool runs the LR null's blocks and the replication units, the work
-    # that draws random numbers, the units spread evenly among the blocks;
-    # the grid's decisions run in the caller
+def _recorded_submits(monkeypatch):
+    """The (function, arguments) of every task submitted to the pool from
+    now on, in submission order."""
     submitted = []
     pool = harness._pool
 
@@ -130,15 +129,33 @@ def test_power_curve_runs_one_pool_round(monkeypatch):
             self.ex = ex
 
         def submit(self, fn, *args):
-            submitted.append(fn)
+            submitted.append((fn, args))
             return self.ex.submit(fn, *args)
 
     monkeypatch.setattr(harness, "_pool", lambda *key: CountingPool(pool(*key)))
+    return submitted
+
+
+def test_power_curve_runs_one_pool_round(monkeypatch):
+    # the pool runs the LR null's blocks and the replication units, the work
+    # that draws random numbers, the units spread evenly among the blocks;
+    # the grid's decisions run in the caller
+    submitted = _recorded_submits(monkeypatch)
     cfg = small_config()  # two units
     _curve(monkeypatch, cfg, 2)
     assert len(submitted) == harness._N_BLOCKS + 2
-    units = [i for i, fn in enumerate(submitted) if fn is harness._sample_unit]
+    units = [i for i, (fn, _) in enumerate(submitted) if fn is harness._sample_unit]
     assert units == [0, 1 + harness._N_BLOCKS // 2]
+
+
+def test_oracle_runs_a_pool_round_of_blocks(monkeypatch):
+    # oracle_lr_critical reaches the pool as power_curve does: one round,
+    # here of the null's blocks alone, in block order
+    submitted = _recorded_submits(monkeypatch)
+    monkeypatch.setenv("IVBOOT_THREADS", "2")
+    oracle_lr_critical(small_config(), 1.0)
+    assert [(fn, args[2]) for fn, args in submitted] == [
+        (harness._null_block, b) for b in range(harness._N_BLOCKS)]
 
 
 def test_power_curve_reuses_its_workers(monkeypatch):
@@ -279,9 +296,9 @@ def test_oracle_lr_critical_is_null_quantile(monkeypatch):
 @pytest.mark.parametrize("law", [None, ErrorSpec("laplace")], ids=["config-law", "override"])
 def test_pooled_lr_null_is_the_serial_one(monkeypatch, threads, law):
     # the null's blocks run as pool tasks beside the units, in any order on
-    # any worker, and still give the serial oracle's critical values under
-    # the null's law bit for bit, here also at two of table 3's negative
-    # values, 0 and 1e4
+    # any worker, and still give the oracle's critical values (a pool round
+    # of blocks alone) under the null's law bit for bit, here also at two of
+    # table 3's negative values, 0 and 1e4
     cfg = small_config(beta_grid=(-0.26, -0.12, 0.0, 0.7, 1.0, 1.3, 1e4), reps=30,
                        boot_reps=100)
     _, curve_crits = _recorded_lr_quantiles(monkeypatch, cfg, threads, law)
@@ -354,16 +371,31 @@ def test_unit_memory_is_bounded_in_boot_reps():
     assert _traced_peak(lambda: harness._sample_unit(engine, 0)) < 20 * 2**20
 
 
-def test_lr_null_memory_is_one_block_of_projections():
-    # the null holds one block's e1 and e2 (2 x 250 x n doubles), a chunk
-    # of draws and the (10 000, q) projections, not a block's draws and
-    # their copies: 230 MB at n = 2000 with unchunked 2500-sample blocks,
-    # 80 MB with chunked ones, 11 MB with 250-sample blocks
+def test_lr_null_memory_is_one_block_of_projections(monkeypatch):
+    # on one worker the null holds one block's e1 and e2 (2 x 250 x n
+    # doubles), a chunk of draws and the (10 000, q) projections, not a
+    # block's draws and their copies: 230 MB at n = 2000 with unchunked
+    # 2500-sample blocks, 80 MB with chunked ones, 11 MB with 250-sample
+    # blocks
+    monkeypatch.setenv("IVBOOT_THREADS", "1")
     cfg = SimConfig(n=2000, q=5, concentration=2000 * 4.0)
     engine = harness._Engine(cfg)
     block = 2 * harness._NULL_BLOCK * cfg.n * 8
     peak = _traced_peak(lambda: harness._lr_critical(engine, (1.0,), cfg.error))
     assert peak < block + 8 * basis.DRAW_BUDGET
+
+
+def test_lr_null_memory_is_one_block_per_worker(monkeypatch):
+    # on two workers the oracle's null holds one block's e1 and e2 (7.6 MB)
+    # and a chunk of draws per worker, and the projections; a third block's
+    # buffer would pass the bound
+    monkeypatch.setattr(basis, "DRAW_BUDGET", 1 << 18)  # 8 samples a chunk at n = 2000
+    monkeypatch.setenv("IVBOOT_THREADS", "2")
+    cfg = SimConfig(n=2000, q=5, concentration=2000 * 4.0)
+    engine = harness._Engine(cfg)
+    block = 2 * harness._NULL_BLOCK * cfg.n * 8
+    peak = _traced_peak(lambda: harness._lr_critical(engine, (1.0,), cfg.error))
+    assert peak < 2 * block + 4 * 2**20 < 3 * block
 
 
 def test_pooled_lr_null_memory_is_one_block_per_worker(monkeypatch):
@@ -380,9 +412,11 @@ def test_pooled_lr_null_memory_is_one_block_per_worker(monkeypatch):
     assert peak < 2 * block + 6 * 2**20 < 3 * block
 
 
-def test_table_lr_null_memory():
-    # table 1's null at n = 200 over its 17 grid values: 12 MB with
-    # 2500-sample blocks, 5 MB with 250-sample ones
+def test_table_lr_null_memory(monkeypatch):
+    # table 1's null at n = 200 over its 17 grid values on one worker: 12 MB
+    # with 2500-sample blocks, 5 MB with 250-sample ones (each further
+    # worker holds one more block's 0.8 MB)
+    monkeypatch.setenv("IVBOOT_THREADS", "1")
     cfg = table_config(1)
     engine = harness._Engine(cfg)
     peak = _traced_peak(lambda: harness._lr_critical(engine, cfg.beta_grid, cfg.error))
@@ -400,7 +434,7 @@ def _null_config(kind):
 def test_lr_null_streams_are_its_blocks(kind):
     # block b of the null is _NULL_BLOCK samples drawn at once from stream
     # (_NULL, b) and projected in one product, with or without the scratch
-    # that the blocks of one null share, and whether or not it keeps draws
+    # that the blocks of one pool round share
     cfg = _null_config(kind)
     engine = harness._Engine(cfg)
     scratch = threading.local()
@@ -409,8 +443,7 @@ def test_lr_null_streams_are_its_blocks(kind):
                                         harness._stream(cfg, harness._NULL, b))
         expected = [(np.ascontiguousarray(eps[:, :, i]) @ engine.z.T).tobytes() for i in (0, 1)]
         for got in (harness._null_block(engine, cfg.error, b),
-                    harness._null_block(engine, cfg.error, b, scratch),
-                    harness._null_block(engine, cfg.error, b, scratch, keep_draws=True)):
+                    harness._null_block(engine, cfg.error, b, scratch)):
             assert [z.tobytes() for z in got] == expected
 
 

@@ -23,13 +23,9 @@ from ivboot.benchmark import (
     profile_features,
     profile_sup,
     st_quadratics,
-    st_vectors,
-    t_ar,
-    t_clr,
-    t_lm,
     tclr_from,
 )
-from ivboot.bootstrap import (RetryDrawError, boot_loglik, boot_quantile, check_redraws,
+from ivboot.bootstrap import (RetryDrawError, boot_quantile, check_redraws,
                               empirical_upper_quantile, sum_law)
 from ivboot.cli import run_all_tests_once
 from ivboot.harness import (TABLE_SPECS, TEST_NAMES, _UNIT, _blr_quantiles, _Engine,
@@ -38,7 +34,8 @@ from ivboot.quasilik import (lr_features, loglik, mle, projector_split, restrict
                              weighted_lr)
 from ivboot.simgen import ERROR_KINDS, ErrorSpec, _gen_errors_batch, gen_errors, gen_sample
 
-from conftest import H0_PROJECTOR, random_cosine_design, reference_profile_from_sums
+from conftest import (H0_PROJECTOR, boot_loglik, random_cosine_design,
+                      reference_profile_from_sums, st_vectors, t_ar, t_clr, t_lm)
 
 seeds = hs.integers(0, 2**32 - 1)
 kinds = hs.sampled_from(ERROR_KINDS)

@@ -119,5 +119,7 @@ def test_sim_config_validation():
                 dict(master_seed=7.0)):
         with pytest.raises(ValueError):
             SimConfig(**bad)
+    with pytest.raises(ValueError, match="beta_grid must hold at least one value"):
+        SimConfig(beta_grid=())
     cfg = SimConfig(n=np.int64(10), q=np.int32(5), master_seed=np.uint64(7))
     assert (cfg.n, cfg.q, cfg.master_seed) == (10, 5, 7) and type(cfg.master_seed) is int
