@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import GeneralDesign, IvSample
 from .bootstrap import RetryDrawError
-from .quasilik import SingularNuisanceError, _coordinate_dot, packed_cholesky_solve
+from .quasilik import SingularNuisanceError, packed_cholesky_solve
 
 
 def st_quadratics(q11, q12, q22, v):
@@ -229,24 +229,47 @@ def profile_features(z, y1, y2):
                            y1[..., None] * z.T, y2[..., None] * z.T], axis=-1)
 
 
-def profile_from_sums(sums, J: int):
+def gram_root(sums, J: int):
+    """The inverse Cholesky factor C^{-1} (m, J, J) of each symmetric
+    G = C'C whose packed upper triangle (numpy.triu_indices order) opens a
+    row of ``sums`` (m, d), as in profile_from_sums, and the verdict of
+    ``quasilik.packed_cholesky_solve``, whose factor C is: that kernel run
+    on the identity.  The C^{-1} of a G that fails is meaningless but
+    finite (0 from its failing pivot on)."""
+    m = len(sums)
+    inv, pd = packed_cholesky_solve(np.ascontiguousarray(sums[:, :J * (J + 1) // 2].T),
+                                    np.broadcast_to(np.eye(J)[:, :, None], (J, J, m)))
+    return np.ascontiguousarray(inv.transpose(2, 0, 1)), pd
+
+
+def profile_from_sums(sums, J: int, root=None):
     """Weighted 2x2 profile matrices from sums u'F (..., d) of
     ``profile_features`` with J instruments, and a verdict per row.
 
     The sums hold the packed upper triangle of G = Z diag(u) Z', then
-    W = Z diag(u) (y1, y2).  hb = W' G^{-1} W = A'A with A = C'^{-1} W from
-    the Cholesky factor G = C'C of ``quasilik.packed_cholesky_solve``, run
-    on the transposed rows, one contiguous row per coordinate; each entry
-    of A'A is summed over the J coordinates in order.  The verdict says
-    whether G is positive definite.  The hb of a row that fails is
-    meaningless but finite.  Returns hb11, hb12, hb22 and the
+    W = Z diag(u) (y1, y2).  hb = W' G^{-1} W = A'A with A' = W' C^{-1}
+    and C^{-1} from ``gram_root``.  ``root``, the gram_root of m draws' G,
+    says that R bootstraps share it, so sums (R, m, d) need no factor of
+    their own: the A' of a draw's R bootstraps is one (2R, J) x (J, J)
+    product.  Both products are stacked matmuls of fixed-shape matrices,
+    so a row's values do not depend on R, on m or on ``root``.  The
+    verdict says whether G is positive definite.  The hb of a row that
+    fails is meaningless but finite.  Returns hb11, hb12, hb22 and the
     verdict, each shaped sums.shape[:-1].
     """
     n_gram = J * (J + 1) // 2
-    rows = np.ascontiguousarray(sums.reshape(-1, n_gram + 2 * J).T)  # coordinate-major
-    (a1, a2), pd = packed_cholesky_solve(rows[:n_gram], rows[n_gram:].reshape(2, J, -1))
-    hb11, hb12, hb22 = _coordinate_dot(a1, a1), _coordinate_dot(a1, a2), _coordinate_dot(a2, a2)
-    return tuple(x.reshape(sums.shape[:-1]) for x in (hb11, hb12, hb22, pd))
+    shape = sums.shape[:-1]
+    if root is None:
+        sums = sums.reshape(1, -1, n_gram + 2 * J)
+        root = gram_root(sums[0], J)
+    cinv, pd = root
+    R, m, _ = sums.shape
+    wt = np.ascontiguousarray(sums[..., n_gram:].swapaxes(0, 1)).reshape(m, 2 * R, J)
+    at = (wt @ cinv).reshape(m, R, 2, J).transpose(2, 1, 0, 3)  # (2, R, m, J)
+    a1, a2 = at
+    hb = (np.einsum("rmj,rmj->rm", a1, a1), np.einsum("rmj,rmj->rm", a1, a2),
+          np.einsum("rmj,rmj->rm", a2, a2))
+    return *(x.reshape(shape) for x in hb), np.tile(pd, R).reshape(shape)
 
 
 def _weighted_sums(sample: IvSample, weights: Optional[np.ndarray]):
@@ -316,13 +339,14 @@ def _top_eigvec_2x2(h11, h12, h22):
     return lmax, vx / nrm, vy / nrm
 
 
-def blr_values(sums, J: int, vx, vy):
+def blr_values(sums, J: int, vx, vy, root=None):
     """Bootstrap likelihood-ratio statistics of sum rows (..., d) on the
-    t_clr scale, and their verdicts (see profile_from_sums): beta fixed
-    along the unit direction (vx, vy), which broadcasts against
-    sums.shape[:-1], gives 2 (top eigenvalue of hb - hb at that direction).
+    t_clr scale, and their verdicts (see profile_from_sums, also for
+    ``root``): beta fixed along the unit direction (vx, vy), which
+    broadcasts against sums.shape[:-1], gives 2 (top eigenvalue of hb - hb
+    at that direction).
     """
-    hb11, hb12, hb22, pd = profile_from_sums(sums, J)
+    hb11, hb12, hb22, pd = profile_from_sums(sums, J, root)
     lmax_b = _top_eigval_2x2(hb11, hb12, hb22)
     gb = vx * vx * hb11 + 2 * vx * vy * hb12 + vy * vy * hb22
     return 2.0 * (lmax_b - gb), pd

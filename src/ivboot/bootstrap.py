@@ -133,27 +133,38 @@ def sum_law(F: np.ndarray):
     return F.sum(axis=-2), np.linalg.qr(F, mode="r")
 
 
-def multiplier_bootstrap(law, n_boot: int, statistic, gen: np.random.Generator):
+def multiplier_bootstrap(law, n_boot: int, statistic, gen: np.random.Generator,
+                         shared=None):
     """n_boot kept values (R, n_boot) of ``statistic`` for R bootstraps with
     the sum law (mean (R, d), factor (R, k, d)) of ``sum_law``, and the
-    number of draws redrawn.  ``statistic(sums, r)`` gives the values and
-    verdicts of sum rows (R', m, d) of the bootstraps in slice r.
+    number of draws redrawn.  ``statistic(sums, r, common)`` gives the
+    values and verdicts of sum rows (R', m, d) of the bootstraps in slice r.
 
     One (n_boot, k) block z of normals is drawn first and shared by the R
     bootstraps: bootstrap r's sums are mean[r] + z factor[r], so each
     bootstrap has the law it would have alone, and the R bootstraps are
     common random numbers.  The sums are formed for as many whole
     bootstraps as chunk_rows(16 d) draws hold (a draw's d sums and the
-    statistic's coordinate-major copy of them), or for one bootstrap,
-    whose statistic then takes pieces of chunk_rows(16 d) sum rows, as
-    statistic(sums[None], slice(r, r + 1)); each piece is evaluated
-    before the next is formed.  z meets each factor in one (n_boot, k) x
-    (k, d) product: BLAS rounds a row of a product differently with the
-    number of rows.  After the block, bootstrap by bootstrap, the draws
-    with a False verdict are redrawn as one block on the same stream
-    until n_boot are kept, in draw order: the normals and draws that a
-    draw-by-draw loop keeps.  Each bootstrap is one under check_redraws.
-    With R = 1 this consumes the stream of a lone bootstrap.
+    statistic's work on them), or for one bootstrap, whose statistic then
+    takes pieces of chunk_rows(16 d) sum rows, as
+    statistic(sums[None], slice(r, r + 1), common); each piece is
+    evaluated before the next is formed.  z meets each factor in one
+    (n_boot, k) x (k, d) product: BLAS rounds a row of a product
+    differently with the number of rows.
+
+    ``shared``, if given, does the part of the statistic's work that is
+    the same for every bootstrap, on sums whose columns of mean and factor
+    are the same for every bootstrap: shared(sums (m, d)) runs once per
+    piece of draws, on the first bootstrap's sums, and its result is
+    passed as ``common`` with the pieces of every bootstrap; otherwise
+    ``common`` is None.
+
+    After the block, bootstrap by bootstrap, the draws with a False
+    verdict are redrawn as one block on the same stream until n_boot are
+    kept, in draw order: the normals and draws that a draw-by-draw loop
+    keeps.  Redrawn draws are their bootstrap's own, so their ``common`` is
+    None.  Each bootstrap is one under check_redraws.  With R = 1 this
+    consumes the stream of a lone bootstrap.
     """
     mean, factor = law
     R, k, d = factor.shape
@@ -162,12 +173,17 @@ def multiplier_bootstrap(law, n_boot: int, statistic, gen: np.random.Generator):
     z = gen.standard_normal((n_boot, k))
     rows = chunk_rows(16 * d)
     per_chunk = max(1, rows // n_boot)
+    common = [None] * len(range(0, n_boot, rows))
+    buf = np.empty((min(per_chunk, R), n_boot, d))  # one chunk's sums, reused
     for r0 in range(0, R, per_chunk):
         r = slice(r0, min(r0 + per_chunk, R))
-        sums = z @ factor[r]
+        sums = np.matmul(z, factor[r], out=buf[:r.stop - r0])
         sums += mean[r, None]
-        for b in range(0, n_boot, rows):
-            values[r, b:b + rows], ok[r, b:b + rows] = statistic(sums[:, b:b + rows], r)
+        for i, b in enumerate(range(0, n_boot, rows)):
+            piece = sums[:, b:b + rows]
+            if shared is not None and r0 == 0:
+                common[i] = shared(piece[0])
+            values[r, b:b + rows], ok[r, b:b + rows] = statistic(piece, r, common[i])
     n_redrawn = 0
     for r in np.flatnonzero(~ok.all(axis=1)):
         kept, redraws = [values[r, ok[r]]], 0
@@ -175,7 +191,7 @@ def multiplier_bootstrap(law, n_boot: int, statistic, gen: np.random.Generator):
             for redraws in range(redraws + 1, redraws + need + 1):
                 check_redraws(redraws, n_boot)  # one redraw at a time
             sums = mean[r] + gen.standard_normal((need, k)) @ factor[r]
-            value, ok_r = statistic(sums[None], slice(r, r + 1))
+            value, ok_r = statistic(sums[None], slice(r, r + 1), None)
             kept.append(value[0, ok_r[0]])
         values[r] = np.concatenate(kept)
         n_redrawn += redraws
@@ -198,7 +214,7 @@ def boot_quantile(design: GeneralDesign, projector, n_boot: int, alpha: float,
     features, n_null = quasilik.lr_features(design, projector, quasilik.mle(design))
     values, retries = multiplier_bootstrap(
         sum_law(features[None]), n_boot,
-        lambda sums, r: quasilik.weighted_lr(design, n_null, sums), as_generator(rng))
+        lambda sums, r, common: quasilik.weighted_lr(design, n_null, sums), as_generator(rng))
     J = design.dim
     z = empirical_upper_quantile((values[0] - J) / np.sqrt(J), alpha)
     return BootstrapRun(n_boot=n_boot, t_blr_samples=values[0], z_star_alpha=z,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import RngStream, chunk_rows, cosine_design
 from .benchmark import (_top_eigvec_2x2, ar_from, blr_values, chi2_ppf, clr_critical_values,
-                        lm_from, profile_features, st_quadratics, tclr_from)
+                        gram_root, lm_from, profile_features, st_quadratics, tclr_from)
 from .bootstrap import empirical_upper_quantile, multiplier_bootstrap, sum_law
 from .simgen import ErrorSpec, SimConfig, _gen_errors_batch, gen_pi
 
@@ -30,10 +30,11 @@ _SAMPLE, _NULL = 0, 1
 # Replications per unit of parallel work.  Fixed, because units key the
 # sample streams and the bootstrap normals that a unit's replications share;
 # small, so that a few hundred replications still keep every worker busy.
-# A unit holds one boot_reps x 25 block of normals (at q = 5) and forms its
-# bootstrap sums a chunk at a time (see bootstrap.multiplier_bootstrap); its
-# features (_UNIT x n x 25 doubles) and bootstrap values (_UNIT x boot_reps
-# doubles) are held whole.
+# A unit holds one boot_reps x 25 block of normals (at q = 5), each draw's
+# inverse Gram factor (boot_reps x 25 doubles) and forms its bootstrap sums a
+# chunk at a time (see bootstrap.multiplier_bootstrap); its features
+# (_UNIT x n x 25 doubles) and bootstrap values (_UNIT x boot_reps doubles)
+# are held whole.
 _UNIT = 25
 # Null simulations per error-draw block of the LR null.  Fixed, because
 # blocks key the null streams; small, because a block's e1 and e2 are held
@@ -42,6 +43,9 @@ _NULL_BLOCK = 250
 
 N_NULL_SIMS = 10_000
 _N_BLOCKS = N_NULL_SIMS // _NULL_BLOCK  # a whole number of blocks
+# Doubles that the decisions at one grid value hold per replication: the
+# grid's decisions run on chunks of chunk_rows(8 * 16 * reps) grid values.
+_DECISION_ROW_DOUBLES = 16
 
 # Data-generating parameters reproducing the embedded reference tables.
 # The nominal experiment descriptions (n=200, q=5, concentration ratio 4
@@ -209,13 +213,20 @@ def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen):
     normals: each replication's bootstrap has its own law, and the
     replications of a call are common random numbers.  The weighted Gram
     part of a draw's sums comes from the instruments alone, so it is the
-    same for every replication: a draw that fails for one fails for all,
-    and each replication redraws it on its own.
+    same for every replication: it is factored once per draw for all of
+    them (benchmark.gram_root, the kernel's ``shared`` part), and each
+    replication's W sums meet that factor in stacked products whose
+    values do not depend on how many replications share it.  So a draw
+    that fails for one fails for all, each replication redraws it on its
+    own, and a replication's critical value is that of its bootstrap
+    alone, bit for bit.
     """
+    J = engine.config.q
     _, vx, vy = _top_eigvec_2x2(q11, q12, q22)
     values, redraws = multiplier_bootstrap(
         sum_law(profile_features(engine.z, y1, y2)), engine.config.boot_reps,
-        lambda sums, r: blr_values(sums, engine.config.q, vx[r, None], vy[r, None]), gen)
+        lambda sums, r, root: blr_values(sums, J, vx[r, None], vy[r, None], root), gen,
+        shared=lambda sums: gram_root(sums, J))
     return empirical_upper_quantile(values, engine.config.alpha), redraws
 
 
@@ -251,15 +262,16 @@ def _null_block(engine: _Engine, law: ErrorSpec, block: int, scratch=None):
     samples, whose e1 and e2 go to the block's (2, _NULL_BLOCK, n) buffer;
     the block is then projected in one product, since BLAS rounds a row of
     a product differently with the number of rows.  So a block holds that
-    buffer (0.8 MB at n = 200) and a chunk of draws.  ``scratch``, a
-    threading.local that the blocks of one pool round share, keeps each
-    worker's buffer from one block to the next, so glibc does not return
-    it to the system and fault it in again at every block.
+    buffer (0.8 MB at n = 200) and a chunk of draws.  ``scratch``, the
+    threading.local of the pool that runs the block (see _pool), keeps
+    each worker's buffer from one block to the next and from one round to
+    the next, reallocated only when n changes, so glibc does not return it
+    to the system and fault it in again at every block.
     """
     cfg = engine.config
     if scratch is None:
         scratch = threading.local()
-    if getattr(scratch, "errors", None) is None:
+    if getattr(scratch, "errors", np.empty(0)).shape != (2, _NULL_BLOCK, cfg.n):
         scratch.errors = np.empty((2, _NULL_BLOCK, cfg.n))
     e1, e2 = scratch.errors
     gen = _stream(cfg, _NULL, block)
@@ -359,10 +371,11 @@ def _pool(n_threads: int, pid: int) -> ThreadPoolExecutor:
     each draw was one block; glibc keeps up to about twice the largest
     freed array at an arena's top, and the draws now free arrays of about
     1 MB at n = 200 (a chunk of draws).  Its tasks are the replication
-    units and the LR null's blocks; each worker keeps one null block's
-    buffer for the length of a round (see _null_block)."""
+    units and the LR null's blocks.  Returns the pool and a threading.local
+    in which each of its workers keeps one null block's buffer for its life
+    (see _null_block)."""
     initializer = _one_blas_thread if n_threads > 1 else None
-    return ThreadPoolExecutor(max_workers=n_threads, initializer=initializer)
+    return ThreadPoolExecutor(max_workers=n_threads, initializer=initializer), threading.local()
 
 
 def _pool_round(engine: _Engine, law: ErrorSpec, n_units: int):
@@ -370,16 +383,17 @@ def _pool_round(engine: _Engine, law: ErrorSpec, n_units: int):
     units 0, ..., n_units - 1 (_sample_unit) and the LR null's _N_BLOCKS
     blocks under ``law`` (_null_block), run as one list of tasks on the
     max_threads() workers of ``_pool``, the units spread evenly among the
-    blocks.  A unit holds the interpreter lock for most of its run while a
-    block's draws release it, so a unit beside a block overlaps where two
-    units would take turns.  Every task has ended when this returns, also
-    when one fails.  Returns the units' results in unit order and the
-    blocks' projections Z e1, Z e2, each concatenated in block order."""
-    ex = _pool(max_threads(), os.getpid())
+    blocks.  A block spends most of its time in draws and a unit in the
+    stacked products of its statistic, both of which release the
+    interpreter lock, so units overlap with blocks and with each other.
+    Each worker keeps its null block's buffer from round to round.  Every task has ended when this
+    returns, also when one fails.  Returns the units' results in unit
+    order and the blocks' projections Z e1, Z e2, each concatenated in
+    block order."""
+    ex, scratch = _pool(max_threads(), os.getpid())
     # unit u at u / n_units and block b at b / _N_BLOCKS, a unit first on a tie
     order = sorted([(u * _N_BLOCKS, _SAMPLE, u) for u in range(n_units)]
                    + [(b * n_units, _NULL, b) for b in range(_N_BLOCKS)])
-    scratch = threading.local()
     futs = {(role, i): ex.submit(_sample_unit, engine, i) if role == _SAMPLE
             else ex.submit(_null_block, engine, law, i, scratch) for _, role, i in order}
     try:
@@ -403,7 +417,10 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     fixed size, so results are identical for any thread count.
     The replication units and the LR null's blocks run in one _pool_round.
     Once all have ended, the caller takes the LR critical values from the
-    blocks' projections (_lr_quantiles) and runs the grid's decisions.
+    blocks' projections (_lr_quantiles), one grid value at a time, and
+    runs the grid's decisions (_decisions) on chunks of grid values: one
+    CLR curve evaluation per chunk, each chunk's arrays about
+    basis.DRAW_BUDGET bytes whatever ``config.reps``.
     With more than one worker, each worker's BLAS runs on one thread.
     ``lr_oracle_error`` overrides the error law of the LR null simulations;
     calibrating against the nominal unit-covariance law instead of the
@@ -417,34 +434,42 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     *sample, redraws = zip(*units)
     lr_crit = _lr_quantiles(engine, config.beta_grid, ze1, ze2)
     sample = [np.concatenate(p) for p in sample]
-    rates = [_grid_rates(engine, sample, v, c) for v, c in zip(config.beta_grid, lr_crit)]
-    rows = {t: np.array([r[i] for r in rates]) for i, t in enumerate(TEST_NAMES)}
-    return PowerTable(grid=np.array(config.beta_grid), rows=rows, config=config,
+    grid = np.array(config.beta_grid)
+    step = chunk_rows(_DECISION_ROW_DOUBLES * 8 * config.reps)
+    rates = np.concatenate([_grid_rates(engine, sample, grid[a:a + step], lr_crit[a:a + step])
+                            for a in range(0, len(grid), step)], axis=1)
+    return PowerTable(grid=grid, rows=dict(zip(TEST_NAMES, rates)), config=config,
                       reps_used=config.reps, blr_redraws=sum(redraws))
 
 
-def _decisions(engine: _Engine, sample, v: float, lr_crit):
-    """The five tests of H0: beta = v on replications sample = (q11, q12,
-    q22, blr_crit) of _replications, with LR critical value ``lr_crit``:
-    the (statistic, critical value) pair of each test, in TEST_NAMES order,
-    each entry one per replication or a scalar, and each replication's T'T.
-    A test rejects where its statistic exceeds its critical value."""
+def _decisions(engine: _Engine, sample, grid, lr_crit):
+    """The five tests of H0: beta = v at each value v of ``grid`` on
+    replications sample = (q11, q12, q22, blr_crit) of _replications, with
+    LR critical values ``lr_crit``, one per grid value: the (statistic,
+    critical value) pair of each test, in TEST_NAMES order, and T'T.  Each
+    array has a row per grid value and an entry per replication, or
+    broadcasts against that; a scalar v and lr_crit (a grid of one, as in
+    ``ivboot test``) give no grid axis.  Every step is elementwise, so a
+    value's decisions do not depend on the rest of the grid.  A test
+    rejects where its statistic exceeds its critical value."""
     cfg = engine.config
+    v = np.asarray(grid, dtype=float)[..., None]
     q11, q12, q22, blr_crit = sample
     ss, tt, st = st_quadratics(q11, q12, q22, v)
     tclr = tclr_from(ss, tt, st)
-    return ((tclr, lr_crit),
+    return ((tclr, np.asarray(lr_crit)[..., None]),
             (tclr, blr_crit),
             (tclr, _clr_critical_curve(tt, cfg.q, cfg.alpha)),
             (ar_from(ss, cfg.q), chi2_ppf(1 - cfg.alpha, cfg.q) / cfg.q),
             (lm_from(tt, st), chi2_ppf(1 - cfg.alpha, 1))), tt
 
 
-def _grid_rates(engine: _Engine, sample, v: float, lr_crit: float):
-    """Rejection rates of the five tests of H0: beta = v, in TEST_NAMES
-    order, on the shared samples of power_curve (see _decisions)."""
-    pairs, _ = _decisions(engine, sample, v, lr_crit)
-    return tuple(np.mean(stat > crit) for stat, crit in pairs)
+def _grid_rates(engine: _Engine, sample, grid, lr_crit):
+    """Rejection rates of the five tests of H0: beta = v at each value v of
+    ``grid``, one row per test in TEST_NAMES order, on the shared samples
+    of power_curve (see _decisions)."""
+    pairs, _ = _decisions(engine, sample, grid, lr_crit)
+    return np.array([np.mean(stat > crit, axis=-1) for stat, crit in pairs])
 
 
 def compare_to_reference(table: PowerTable, reference_id: int) -> ComparisonReport:

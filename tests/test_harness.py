@@ -132,7 +132,11 @@ def _recorded_submits(monkeypatch):
             submitted.append((fn, args))
             return self.ex.submit(fn, *args)
 
-    monkeypatch.setattr(harness, "_pool", lambda *key: CountingPool(pool(*key)))
+    def counting_pool(*key):
+        ex, scratch = pool(*key)
+        return CountingPool(ex), scratch
+
+    monkeypatch.setattr(harness, "_pool", counting_pool)
     return submitted
 
 
@@ -173,6 +177,29 @@ def test_power_curve_reuses_its_workers(monkeypatch):
     monkeypatch.setattr(harness, "_sample_unit", recording_unit)
     _curve(monkeypatch, small_config(reps=4 * harness._UNIT), 2)
     assert workers and workers <= alive
+
+
+def test_null_scratch_outlives_its_round(monkeypatch):
+    # each worker keeps its null-block buffer from one pool round to the
+    # next, and gets a new one when n changes
+    monkeypatch.setenv("IVBOOT_THREADS", "1")  # one worker: one buffer
+    buffers = []
+    null_block = harness._null_block
+
+    def recording_block(engine, law, block, scratch):
+        result = null_block(engine, law, block, scratch)
+        buffers.append(scratch.errors)
+        return result
+
+    monkeypatch.setattr(harness, "_null_block", recording_block)
+    for cfg in (small_config(), small_config(), small_config(n=60)):
+        harness._lr_critical(harness._Engine(cfg), (1.0,), cfg.error)
+    first, second, third = (buffers[k:k + harness._N_BLOCKS]
+                            for k in range(0, 3 * harness._N_BLOCKS, harness._N_BLOCKS))
+    assert all(b is first[0] for b in first + second)
+    assert first[0].shape == (2, harness._NULL_BLOCK, 80)
+    assert all(b is third[0] for b in third)
+    assert third[0].shape == (2, harness._NULL_BLOCK, 60)
 
 
 def test_power_curve_waits_for_its_tasks_when_one_fails(monkeypatch):

@@ -14,6 +14,7 @@ from scipy.stats import ks_2samp
 from ivboot import GeneralDesign, RngStream, basis
 from ivboot.benchmark import (
     _top_eigvec_2x2,
+    gram_root,
     ams_blr_statistic,
     ams_lr_statistic,
     ar_from,
@@ -21,6 +22,7 @@ from ivboot.benchmark import (
     clr_critical_values,
     lm_from,
     profile_features,
+    profile_from_sums,
     profile_sup,
     st_quadratics,
     tclr_from,
@@ -29,7 +31,8 @@ from ivboot.bootstrap import (RetryDrawError, boot_quantile, check_redraws,
                               empirical_upper_quantile, sum_law)
 from ivboot.cli import run_all_tests_once
 from ivboot.harness import (TABLE_SPECS, TEST_NAMES, _UNIT, _blr_quantiles, _Engine,
-                            _grid_rates, _replications, _sample_unit, power_curve, table_config)
+                            _grid_rates, _lr_critical, _replications, _sample_unit, power_curve,
+                            table_config)
 from ivboot.quasilik import (lr_features, loglik, mle, projector_split, restricted_mle, t_lr,
                              weighted_lr)
 from ivboot.simgen import ERROR_KINDS, ErrorSpec, _gen_errors_batch, gen_errors, gen_sample
@@ -147,6 +150,63 @@ def test_gen_errors_is_the_batch_of_one(seed, kind, n):
     batch = _gen_errors_batch(spec, n, 1, RngStream(seed, 0).generator())
     assert batch.shape == (1, n, 2)
     assert np.array_equal(single, batch[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=seeds, shape=hs.sampled_from([(40, 3), (200, 5), (30, 2)]),
+       reps=hs.integers(1, _UNIT), n_draws=hs.integers(1, 60), redraw=hs.booleans())
+def test_shared_gram_kernel_is_the_reference_per_draw(seed, shape, reps, n_draws, redraw):
+    # the unit kernel factors each draw's weighted Gram once for all of a
+    # unit's bootstraps: per draw and bootstrap it is the row-major
+    # reference to rounding, with the same verdict, and it is the kernel
+    # run on each bootstrap's own sums bit for bit.  At n = 40, q = 3 some
+    # Grams are near singular; the -2 Q'1 draw makes every one negative
+    # definite (see test_blr_redraws_are_counted)
+    n, J = shape
+    cfg = dataclasses.replace(table_config(1, reps=reps), n=n, q=J, concentration=n * 60.0)
+    engine = _Engine(cfg)
+    gen = np.random.default_rng(seed)
+    eps = _gen_errors_batch(cfg.error, n, reps, gen)
+    y1, y2 = engine.x + eps[:, :, 0], engine.x + eps[:, :, 1]
+    F = profile_features(engine.z, y1, y2)
+    mean, factor = sum_law(F)
+    z = gen.standard_normal((n_draws, factor.shape[1]))
+    if redraw:
+        Q, _ = np.linalg.qr(F[0])
+        z[n_draws // 2] = -2.0 * Q.sum(axis=0)
+    sums = np.matmul(z, factor) + mean[:, None]
+    *hb, pd = profile_from_sums(sums, J, gram_root(sums[0], J))
+    *own, own_pd = profile_from_sums(sums, J)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(hb + [pd], own + [own_pd]))
+    if redraw:
+        assert not pd[:, n_draws // 2].any()
+    for r in range(reps):
+        *ref, ref_pd = reference_profile_from_sums(sums[r], J)
+        assert np.array_equal(pd[r], ref_pd)
+        h11, _, h22 = ref
+        for got, want, scale in zip(hb, ref, (h11, np.sqrt(h11) * np.sqrt(h22), h22)):
+            assert np.all(np.isfinite(got[r]))
+            ok = ref_pd
+            assert np.all(np.abs(got[r][ok] - want[ok]) <= 1e-12 * scale[ok])
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, 3, None])  # None: one chunk
+def test_batched_decisions_are_the_per_value_decisions(monkeypatch, rows_per_chunk):
+    # power_curve's decisions run on chunks of grid values; every rate is the
+    # per-value _decisions rate bit for bit, also at the chunks' edges
+    cfg = table_config(3, reps=_UNIT + 7, boot_reps=50, master_seed=8)
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(basis, "DRAW_BUDGET", rows_per_chunk * 16 * 8 * cfg.reps)
+    table = power_curve(cfg)
+    engine = _Engine(cfg)
+    units = [_sample_unit(engine, u)[:4] for u in range(2)]
+    sample = [np.concatenate(p) for p in zip(*units)]
+    lr_crit = _lr_critical(engine, cfg.beta_grid, cfg.error)
+    for i, (v, c) in enumerate(zip(cfg.beta_grid, lr_crit)):
+        rates = _grid_rates(engine, sample, v, c)
+        assert [table.column(t)[i] for t in TEST_NAMES] == list(rates)
+        assert all(table.column(t)[i].tobytes() == np.float64(x).tobytes()
+                   for t, x in zip(TEST_NAMES, rates))
 
 
 def _weights_quantile(engine, y1, y2, q, block, redraw):
