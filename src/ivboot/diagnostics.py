@@ -102,16 +102,20 @@ def empirical_opnorm_tail(matrix_sampler: Callable, t_grid, reps: int, rng) -> n
 
     ``matrix_sampler(generator, batch)`` must return a (batch, n, p, p)
     array of summands; batches are drawn until ``reps`` realizations of the
-    summed matrix have been collected.
+    summed matrix have been collected.  The first batch is one realization,
+    whose size sets the rest: chunk_rows of it, about basis.DRAW_BUDGET
+    bytes of summands a batch.  A sampler whose realizations follow one
+    another in the stream, as rademacher_spike_sampler's do, gives the same
+    tail for any batch size.
     """
     gen = as_generator(rng)
     t_grid = np.asarray(t_grid, dtype=float)
     counts = np.zeros(t_grid.size)
-    done = 0
-    batch = max(1, min(reps, 20000))
+    done, batch = 0, 1
     while done < reps:
         m = min(batch, reps - done)
         S = matrix_sampler(gen, m)
+        batch = chunk_rows(S[0].nbytes)
         total = S.sum(axis=1)
         opnorm = np.abs(np.linalg.eigvalsh(total)).max(axis=1)
         counts += (opnorm[:, None] >= t_grid[None, :]).sum(axis=0)

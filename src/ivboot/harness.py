@@ -8,7 +8,6 @@ import csv
 import functools
 import io
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from importlib import resources
@@ -37,8 +36,8 @@ _SAMPLE, _NULL = 0, 1
 # are held whole.
 _UNIT = 25
 # Null simulations per error-draw block of the LR null.  Fixed, because
-# blocks key the null streams; small, because a block's e1 and e2 are held
-# whole (2 x _NULL_BLOCK x n doubles) until the block is projected.
+# blocks key the null streams; small, so that the null is many tasks, which
+# the pool runs among the replication units.
 _NULL_BLOCK = 250
 
 N_NULL_SIMS = 10_000
@@ -255,32 +254,23 @@ def _sample_unit(engine: _Engine, unit: int):
                          engine.x[None, :] + eps[:, :, 1], gen)
 
 
-def _null_block(engine: _Engine, law: ErrorSpec, block: int, scratch=None):
+def _null_block(engine: _Engine, law: ErrorSpec, block: int):
     """Instrument projections Z e1, Z e2 of block ``block`` of the LR null:
     its _NULL_BLOCK null samples under ``law``, drawn from stream
     (_NULL, block).  The stream is walked in chunks of chunk_rows(16 n)
-    samples, whose e1 and e2 go to the block's (2, _NULL_BLOCK, n) buffer;
-    the block is then projected in one product, since BLAS rounds a row of
-    a product differently with the number of rows.  So a block holds that
-    buffer (0.8 MB at n = 200) and a chunk of draws.  ``scratch``, the
-    threading.local of the pool that runs the block (see _pool), keeps
-    each worker's buffer from one block to the next and from one round to
-    the next, reallocated only when n changes, so glibc does not return it
-    to the system and fault it in again at every block.
+    samples, and each chunk is projected as it is drawn, one (q, n) x (n, 2)
+    product per sample: a sample's product does not depend on how many
+    samples share its chunk, so the projections do not depend on
+    basis.DRAW_BUDGET.  A block holds one chunk of draws and its
+    (_NULL_BLOCK, q, 2) projections.
     """
     cfg = engine.config
-    if scratch is None:
-        scratch = threading.local()
-    if getattr(scratch, "errors", np.empty(0)).shape != (2, _NULL_BLOCK, cfg.n):
-        scratch.errors = np.empty((2, _NULL_BLOCK, cfg.n))
-    e1, e2 = scratch.errors
     gen = _stream(cfg, _NULL, block)
     step = chunk_rows(16 * cfg.n)
-    for a in range(0, _NULL_BLOCK, step):
-        b = min(a + step, _NULL_BLOCK)
-        eps = _gen_errors_batch(law, cfg.n, b - a, gen)
-        e1[a:b], e2[a:b] = eps[:, :, 0], eps[:, :, 1]
-    return e1 @ engine.z.T, e2 @ engine.z.T
+    proj = np.concatenate([
+        np.matmul(engine.z, _gen_errors_batch(law, cfg.n, min(step, _NULL_BLOCK - a), gen))
+        for a in range(0, _NULL_BLOCK, step)])
+    return proj[..., 0], proj[..., 1]
 
 
 def _lr_quantiles(engine: _Engine, grid, ze1, ze2) -> np.ndarray:
@@ -371,11 +361,9 @@ def _pool(n_threads: int, pid: int) -> ThreadPoolExecutor:
     each draw was one block; glibc keeps up to about twice the largest
     freed array at an arena's top, and the draws now free arrays of about
     1 MB at n = 200 (a chunk of draws).  Its tasks are the replication
-    units and the LR null's blocks.  Returns the pool and a threading.local
-    in which each of its workers keeps one null block's buffer for its life
-    (see _null_block)."""
+    units and the LR null's blocks; they keep no state on the workers."""
     initializer = _one_blas_thread if n_threads > 1 else None
-    return ThreadPoolExecutor(max_workers=n_threads, initializer=initializer), threading.local()
+    return ThreadPoolExecutor(max_workers=n_threads, initializer=initializer)
 
 
 def _pool_round(engine: _Engine, law: ErrorSpec, n_units: int):
@@ -386,16 +374,15 @@ def _pool_round(engine: _Engine, law: ErrorSpec, n_units: int):
     blocks.  A block spends most of its time in draws and a unit in the
     stacked products of its statistic, both of which release the
     interpreter lock, so units overlap with blocks and with each other.
-    Each worker keeps its null block's buffer from round to round.  Every task has ended when this
-    returns, also when one fails.  Returns the units' results in unit
-    order and the blocks' projections Z e1, Z e2, each concatenated in
-    block order."""
-    ex, scratch = _pool(max_threads(), os.getpid())
+    Every task has ended when this returns, also when one fails.  Returns
+    the units' results in unit order and the blocks' projections Z e1,
+    Z e2, each concatenated in block order."""
+    ex = _pool(max_threads(), os.getpid())
     # unit u at u / n_units and block b at b / _N_BLOCKS, a unit first on a tie
     order = sorted([(u * _N_BLOCKS, _SAMPLE, u) for u in range(n_units)]
                    + [(b * n_units, _NULL, b) for b in range(_N_BLOCKS)])
     futs = {(role, i): ex.submit(_sample_unit, engine, i) if role == _SAMPLE
-            else ex.submit(_null_block, engine, law, i, scratch) for _, role, i in order}
+            else ex.submit(_null_block, engine, law, i) for _, role, i in order}
     try:
         units = [futs[_SAMPLE, u].result() for u in range(n_units)]
         null = [futs[_NULL, b].result() for b in range(_N_BLOCKS)]

@@ -107,6 +107,33 @@ def test_opnorm_tail_dominated_by_bernstein():
         assert tail <= bound + 3 * s
 
 
+def test_opnorm_tail_does_not_depend_on_the_draw_budget(monkeypatch):
+    # batches of one realization, of 7 (the last one short), and one batch
+    # for all of them
+    def tail():
+        return empirical_opnorm_tail(rademacher_spike_sampler(30, 2), [2.0, 5.0, 10.0], 500,
+                                     RngStream(6, 0)).tobytes()
+
+    expected = tail()
+    for budget in (8 * 30 * 4, 8 * 30 * 4 * 7, 1 << 40):
+        monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
+        assert tail() == expected
+
+
+def test_opnorm_tail_memory_is_bounded_in_reps():
+    # the summands are held a batch of about DRAW_BUDGET bytes at a time,
+    # not 20 000 realizations at once (64 MB of summands for `ivboot
+    # diagnose`'s 100 of 2 x 2)
+    tracemalloc.start()
+    try:
+        empirical_opnorm_tail(rademacher_spike_sampler(100, 2), [10.0, 20.0], 20_000,
+                              RngStream(4, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * basis.DRAW_BUDGET
+
+
 def test_opnorm_tail_stable_under_more_reps():
     sampler = rademacher_spike_sampler(50, 2)
     grid = [5.0, 10.0, 15.0]

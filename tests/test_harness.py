@@ -133,8 +133,7 @@ def _recorded_submits(monkeypatch):
             return self.ex.submit(fn, *args)
 
     def counting_pool(*key):
-        ex, scratch = pool(*key)
-        return CountingPool(ex), scratch
+        return CountingPool(pool(*key))
 
     monkeypatch.setattr(harness, "_pool", counting_pool)
     return submitted
@@ -177,29 +176,6 @@ def test_power_curve_reuses_its_workers(monkeypatch):
     monkeypatch.setattr(harness, "_sample_unit", recording_unit)
     _curve(monkeypatch, small_config(reps=4 * harness._UNIT), 2)
     assert workers and workers <= alive
-
-
-def test_null_scratch_outlives_its_round(monkeypatch):
-    # each worker keeps its null-block buffer from one pool round to the
-    # next, and gets a new one when n changes
-    monkeypatch.setenv("IVBOOT_THREADS", "1")  # one worker: one buffer
-    buffers = []
-    null_block = harness._null_block
-
-    def recording_block(engine, law, block, scratch):
-        result = null_block(engine, law, block, scratch)
-        buffers.append(scratch.errors)
-        return result
-
-    monkeypatch.setattr(harness, "_null_block", recording_block)
-    for cfg in (small_config(), small_config(), small_config(n=60)):
-        harness._lr_critical(harness._Engine(cfg), (1.0,), cfg.error)
-    first, second, third = (buffers[k:k + harness._N_BLOCKS]
-                            for k in range(0, 3 * harness._N_BLOCKS, harness._N_BLOCKS))
-    assert all(b is first[0] for b in first + second)
-    assert first[0].shape == (2, harness._NULL_BLOCK, 80)
-    assert all(b is third[0] for b in third)
-    assert third[0].shape == (2, harness._NULL_BLOCK, 60)
 
 
 def test_power_curve_waits_for_its_tasks_when_one_fails(monkeypatch):
@@ -372,13 +348,30 @@ def test_bootstrap_abort_does_not_depend_on_the_draw_budget(monkeypatch, capsys)
 
 @pytest.mark.parametrize("kind", ["gauss", "laplace", "hetero_linear", "hetero_periodic"])
 def test_lr_null_does_not_depend_on_the_draw_budget(monkeypatch, kind):
-    cfg = small_config(n=40, error=ErrorSpec(kind, np.array([[1.5, 0.4], [0.4, 0.7]])))
+    # also at q = 1 and 2, and at n = 2000 in chunks of 3 samples (the last
+    # one short): shapes where a product over a whole block of samples
+    # rounds differently from products over chunks of it
+    omega, default = np.array([[1.5, 0.4], [0.4, 0.7]]), basis.DRAW_BUDGET
+    for n, q, budgets in ((40, 3, BUDGETS + (16 * 40 * 7,)),  # chunks of 7, the last short
+                          (40, 1, BUDGETS), (40, 2, BUDGETS), (2000, 5, (16 * 2000 * 3,))):
+        cfg = small_config(n=n, q=q, error=ErrorSpec(kind, omega))
+        engine = harness._Engine(cfg)
+        monkeypatch.setattr(basis, "DRAW_BUDGET", default)
+        expected = harness._lr_critical(engine, cfg.beta_grid, cfg.error)
+        for budget in budgets:
+            monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
+            got = harness._lr_critical(engine, cfg.beta_grid, cfg.error)
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_lr_null_at_n_2000_does_not_depend_on_the_worker_count(monkeypatch):
+    cfg = SimConfig(n=2000, q=5, concentration=2000 * 4.0, beta_grid=(0.5, 1.0, 3.0))
     engine = harness._Engine(cfg)
-    expected = harness._lr_critical(engine, cfg.beta_grid, cfg.error)
-    for budget in BUDGETS + (16 * cfg.n * 7,):  # also chunks of 7 samples, the last short
-        monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
-        got = harness._lr_critical(engine, cfg.beta_grid, cfg.error)
-        assert got.tobytes() == expected.tobytes()
+    got = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("IVBOOT_THREADS", threads)
+        got.append(harness._lr_critical(engine, cfg.beta_grid, cfg.error).tobytes())
+    assert got[0] == got[1]
 
 
 def _traced_peak(fn):
@@ -398,56 +391,58 @@ def test_unit_memory_is_bounded_in_boot_reps():
     assert _traced_peak(lambda: harness._sample_unit(engine, 0)) < 20 * 2**20
 
 
-def test_lr_null_memory_is_one_block_of_projections(monkeypatch):
-    # on one worker the null holds one block's e1 and e2 (2 x 250 x n
-    # doubles), a chunk of draws and the (10 000, q) projections, not a
-    # block's draws and their copies: 230 MB at n = 2000 with unchunked
-    # 2500-sample blocks, 80 MB with chunked ones, 11 MB with 250-sample
-    # blocks
+# The e1 and e2 of one null block at n = 2000 (2 x 250 x n doubles, 7.6 MB):
+# a peak below it shows that no worker holds a whole block's draws.
+_BLOCK_AT_2000 = 2 * harness._NULL_BLOCK * 2000 * 8
+
+
+def test_lr_null_memory_is_a_chunk_of_draws(monkeypatch):
+    # on one worker the null holds a chunk of draws (its normals and its
+    # errors, about 2 x DRAW_BUDGET) and the (10 000, q) projections, less
+    # than one block's e1 and e2: 230 MB at n = 2000 with unchunked
+    # 2500-sample blocks, 80 MB with chunked ones, 12 MB with a 250-sample
+    # block's buffer, 3.5 MB with a chunk of draws
     monkeypatch.setenv("IVBOOT_THREADS", "1")
     cfg = SimConfig(n=2000, q=5, concentration=2000 * 4.0)
     engine = harness._Engine(cfg)
-    block = 2 * harness._NULL_BLOCK * cfg.n * 8
     peak = _traced_peak(lambda: harness._lr_critical(engine, (1.0,), cfg.error))
-    assert peak < block + 8 * basis.DRAW_BUDGET
+    assert peak < 4 * basis.DRAW_BUDGET < _BLOCK_AT_2000
 
 
-def test_lr_null_memory_is_one_block_per_worker(monkeypatch):
-    # on two workers the oracle's null holds one block's e1 and e2 (7.6 MB)
-    # and a chunk of draws per worker, and the projections; a third block's
-    # buffer would pass the bound
+def test_lr_null_memory_is_a_chunk_of_draws_per_worker(monkeypatch):
+    # on two workers the oracle's null holds a chunk of draws per worker and
+    # the projections: 23 MB with a block's buffer per worker, 2.9 MB with a
+    # chunk of draws; one block's buffer would pass the bound
     monkeypatch.setattr(basis, "DRAW_BUDGET", 1 << 18)  # 8 samples a chunk at n = 2000
     monkeypatch.setenv("IVBOOT_THREADS", "2")
     cfg = SimConfig(n=2000, q=5, concentration=2000 * 4.0)
     engine = harness._Engine(cfg)
-    block = 2 * harness._NULL_BLOCK * cfg.n * 8
     peak = _traced_peak(lambda: harness._lr_critical(engine, (1.0,), cfg.error))
-    assert peak < 2 * block + 4 * 2**20 < 3 * block
+    assert peak < 4 * 2**20 < _BLOCK_AT_2000
 
 
-def test_pooled_lr_null_memory_is_one_block_per_worker(monkeypatch):
-    # power_curve's null blocks run on the pool: each worker holds one
-    # block's e1 and e2 (7.6 MB) and a chunk of draws at a time; the rest,
-    # about 3-4 MB, is the blocks' projections, their moments and the unit.
-    # A third block's buffer would pass the bound
+def test_pooled_lr_null_memory_is_a_chunk_of_draws_per_worker(monkeypatch):
+    # power_curve's null blocks run on the pool: each worker holds a chunk
+    # of draws at a time; the rest is the blocks' projections, their moments
+    # and the unit (3.0 MB in all, 18 MB with a block's buffer per worker).
+    # One block's buffer would pass the bound
     monkeypatch.setattr(basis, "DRAW_BUDGET", 1 << 18)  # 8 samples a chunk at n = 2000
     cfg = SimConfig(n=2000, q=5, concentration=2000 * 4.0, beta_grid=(1.0,), reps=1,
                     boot_reps=100)
-    block = 2 * harness._NULL_BLOCK * cfg.n * 8
     monkeypatch.setenv("IVBOOT_THREADS", "2")
     peak = _traced_peak(lambda: power_curve(cfg))
-    assert peak < 2 * block + 6 * 2**20 < 3 * block
+    assert peak < 4 * 2**20 < _BLOCK_AT_2000
 
 
 def test_table_lr_null_memory(monkeypatch):
     # table 1's null at n = 200 over its 17 grid values on one worker: 12 MB
-    # with 2500-sample blocks, 5 MB with 250-sample ones (each further
-    # worker holds one more block's 0.8 MB)
+    # with 2500-sample blocks, 3.8 MB with a 250-sample block's buffer,
+    # 3.1 MB with a chunk of draws (a further worker holds one more chunk)
     monkeypatch.setenv("IVBOOT_THREADS", "1")
     cfg = table_config(1)
     engine = harness._Engine(cfg)
     peak = _traced_peak(lambda: harness._lr_critical(engine, cfg.beta_grid, cfg.error))
-    assert peak < 6 * 2**20
+    assert peak < 4 * 2**20
 
 
 KINDS = ["gauss", "laplace", "hetero_linear", "hetero_periodic"]
@@ -458,20 +453,23 @@ def _null_config(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_lr_null_streams_are_its_blocks(kind):
+def test_lr_null_streams_are_its_blocks(monkeypatch, kind):
     # block b of the null is _NULL_BLOCK samples drawn at once from stream
-    # (_NULL, b) and projected in one product, with or without the scratch
-    # that the blocks of one pool round share
+    # (_NULL, b), each projected on its own (Z e, one product per sample),
+    # whatever the chunks the stream is walked in: one sample, 7 (the last
+    # one short), or the whole block
     cfg = _null_config(kind)
     engine = harness._Engine(cfg)
-    scratch = threading.local()
+    expected = []
     for b in range(harness._N_BLOCKS):
         eps = harness._gen_errors_batch(cfg.error, cfg.n, harness._NULL_BLOCK,
                                         harness._stream(cfg, harness._NULL, b))
-        expected = [(np.ascontiguousarray(eps[:, :, i]) @ engine.z.T).tobytes() for i in (0, 1)]
-        for got in (harness._null_block(engine, cfg.error, b),
-                    harness._null_block(engine, cfg.error, b, scratch)):
-            assert [z.tobytes() for z in got] == expected
+        proj = np.array([engine.z @ e for e in eps])
+        expected.append([proj[:, :, i].tobytes() for i in (0, 1)])
+    for budget in BUDGETS + (16 * cfg.n * 7,):
+        monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
+        for b, want in enumerate(expected):
+            assert [z.tobytes() for z in harness._null_block(engine, cfg.error, b)] == want
 
 
 @functools.cache
