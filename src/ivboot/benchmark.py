@@ -250,21 +250,21 @@ def profile_from_sums(sums, J: int, root=None):
     W = Z diag(u) (y1, y2).  hb = W' G^{-1} W = A'A with A' = W' C^{-1}
     and C^{-1} from ``gram_root``.  ``root``, the gram_root of m draws' G,
     says that R bootstraps share it, so sums (R, m, d) need no factor of
-    their own: the A' of a draw's R bootstraps is one (2R, J) x (J, J)
-    product.  Both products are stacked matmuls of fixed-shape matrices,
-    so a row's values do not depend on R, on m or on ``root``.  The
-    verdict says whether G is positive definite.  The hb of a row that
-    fails is meaningless but finite.  Returns hb11, hb12, hb22 and the
-    verdict, each shaped sums.shape[:-1].
+    their own, and a row needs only its W part, its last 2J entries: the
+    A' of a draw's R bootstraps is one (2R, J) x (J, J) product.  Both
+    products are stacked matmuls of fixed-shape matrices, so a row's
+    values do not depend on R, on m or on ``root``.  The verdict says
+    whether G is positive definite.  The hb of a row that fails is
+    meaningless but finite.  Returns hb11, hb12, hb22 and the verdict,
+    each shaped sums.shape[:-1].
     """
-    n_gram = J * (J + 1) // 2
     shape = sums.shape[:-1]
     if root is None:
-        sums = sums.reshape(1, -1, n_gram + 2 * J)
+        sums = sums.reshape(1, -1, J * (J + 1) // 2 + 2 * J)
         root = gram_root(sums[0], J)
     cinv, pd = root
     R, m, _ = sums.shape
-    wt = np.ascontiguousarray(sums[..., n_gram:].swapaxes(0, 1)).reshape(m, 2 * R, J)
+    wt = np.ascontiguousarray(sums[..., -2 * J:].swapaxes(0, 1)).reshape(m, 2 * R, J)
     at = (wt @ cinv).reshape(m, R, 2, J).transpose(2, 1, 0, 3)  # (2, R, m, J)
     a1, a2 = at
     hb = (np.einsum("rmj,rmj->rm", a1, a1), np.einsum("rmj,rmj->rm", a1, a2),

@@ -16,7 +16,8 @@ import numpy as np
 
 from .basis import RngStream, chunk_rows, cosine_design
 from .benchmark import (_top_eigvec_2x2, ar_from, blr_values, chi2_ppf, clr_critical_values,
-                        gram_root, lm_from, profile_features, st_quadratics, tclr_from)
+                        gram_root, lm_from, profile_features, profile_from_sums, st_quadratics,
+                        tclr_from)
 from .bootstrap import empirical_upper_quantile, multiplier_bootstrap, sum_law
 from .simgen import ErrorSpec, SimConfig, _gen_errors_batch, gen_pi
 
@@ -186,17 +187,15 @@ class _Engine:
         self.z = cosine_design(config.n, config.q)
         self.pi = gen_pi(self.z, config.concentration)
         self.x = self.z.T @ self.pi
-        gram = self.z @ self.z.T
-        self.gram_inv = np.linalg.inv(gram)
+        self.root = gram_root((self.z @ self.z.T)[np.triu_indices(config.q)][None], config.q)
 
-    def quadratics(self, ZY1, ZY2):
+    def quadratics(self, w):
         """q11, q12, q22 of the 2x2 profile matrix H per replication, from
-        the instrument projections Z y1, Z y2 (one row per replication)."""
-        G1 = ZY1 @ self.gram_inv
-        q11 = np.einsum("rj,rj->r", G1, ZY1)
-        q12 = np.einsum("rj,rj->r", G1, ZY2)
-        q22 = np.einsum("rj,rj->r", ZY2 @ self.gram_inv, ZY2)
-        return q11, q12, q22
+        its W row (Z y1, Z y2), one row (R, 2q) per replication: the
+        profile_from_sums of unit weights on the one gram_root of Z Z', so
+        a row's values do not depend on the rows that share the call."""
+        *h, _ = profile_from_sums(w[:, None], self.config.q, self.root)
+        return tuple(x[:, 0] for x in h)
 
 
 def _blr_quantiles(engine: _Engine, y1, y2, q11, q12, q22, gen):
@@ -238,7 +237,7 @@ def _replications(engine: _Engine, y1, y2, gen):
     of replications with outcomes y1, y2 (one row each), and the number of
     bootstrap draws redrawn; the bootstrap draws from ``gen``.  None of them
     depends on the hypothesized value, so they serve a whole grid."""
-    q11, q12, q22 = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+    q11, q12, q22 = engine.quadratics(np.concatenate([y1 @ engine.z.T, y2 @ engine.z.T], -1))
     blr_crit, redraws = _blr_quantiles(engine, y1, y2, q11, q12, q22, gen)
     return q11, q12, q22, blr_crit, redraws
 
@@ -255,14 +254,14 @@ def _sample_unit(engine: _Engine, unit: int):
 
 
 def _null_block(engine: _Engine, law: ErrorSpec, block: int):
-    """Instrument projections Z e1, Z e2 of block ``block`` of the LR null:
-    its _NULL_BLOCK null samples under ``law``, drawn from stream
+    """W rows (Z e1, Z e2), one of 2q per sample, of block ``block`` of the
+    LR null: its _NULL_BLOCK null samples under ``law``, drawn from stream
     (_NULL, block).  The stream is walked in chunks of chunk_rows(16 n)
     samples, and each chunk is projected as it is drawn, one (q, n) x (n, 2)
     product per sample: a sample's product does not depend on how many
     samples share its chunk, so the projections do not depend on
     basis.DRAW_BUDGET.  A block holds one chunk of draws and its
-    (_NULL_BLOCK, q, 2) projections.
+    (_NULL_BLOCK, q, 2) projections, laid out as W rows at the end.
     """
     cfg = engine.config
     gen = _stream(cfg, _NULL, block)
@@ -270,13 +269,13 @@ def _null_block(engine: _Engine, law: ErrorSpec, block: int):
     proj = np.concatenate([
         np.matmul(engine.z, _gen_errors_batch(law, cfg.n, min(step, _NULL_BLOCK - a), gen))
         for a in range(0, _NULL_BLOCK, step)])
-    return proj[..., 0], proj[..., 1]
+    return proj.transpose(0, 2, 1).reshape(_NULL_BLOCK, -1)
 
 
-def _lr_quantiles(engine: _Engine, grid, ze1, ze2) -> np.ndarray:
+def _lr_quantiles(engine: _Engine, grid, w) -> np.ndarray:
     """Oracle critical value at each hypothesized value v of ``grid``: the
-    upper alpha quantile of t_clr over the null samples with instrument
-    projections ``ze1`` = Z e1 and ``ze2`` = Z e2 (one row each).
+    upper alpha quantile of t_clr over the null samples with W rows ``w``
+    = (Z e1, Z e2) (one row each).
 
     The data at v project to v Z x + Z e1 and Z x + Z e2.  So with G the
     inverse Gram, k = x'Z'G Z x, b_i = x'Z'G Z e_i and a_ij = e_i'Z'G Z e_j,
@@ -286,11 +285,12 @@ def _lr_quantiles(engine: _Engine, grid, ze1, ze2) -> np.ndarray:
     numerator v^2 q11 of the null's T'T grows like v^4: a v where it
     overflows (|v| above about 3e76) raises ValueError.
     """
+    q, cinv = engine.config.q, engine.root[0][0]
     zx = engine.z @ engine.x
-    gx = engine.gram_inv @ zx
+    gx = cinv @ (zx @ cinv)
     k = zx @ gx
-    b1, b2 = ze1 @ gx, ze2 @ gx
-    a11, a12, a22 = engine.quadratics(ze1, ze2)
+    b1, b2 = w[:, :q] @ gx, w[:, q:] @ gx
+    a11, a12, a22 = engine.quadratics(w)
     kb2, q22 = k + b2, k + 2 * b2 + a22
     crit = np.empty(len(grid))
     for i, v in enumerate(grid):
@@ -310,8 +310,8 @@ def _lr_critical(engine: _Engine, grid, law: ErrorSpec) -> np.ndarray:
     upper alpha quantile of t_clr over N_NULL_SIMS null samples at beta = v
     under ``law``.  The LR null of oracle_lr_critical: a _pool_round with
     no replication units, then _lr_quantiles, as in power_curve."""
-    _, ze1, ze2 = _pool_round(engine, law, 0)
-    return _lr_quantiles(engine, grid, ze1, ze2)
+    _, w = _pool_round(engine, law, 0)
+    return _lr_quantiles(engine, grid, w)
 
 
 def _clr_critical_curve(tt: np.ndarray, q: int, alpha: float) -> np.ndarray:
@@ -375,8 +375,8 @@ def _pool_round(engine: _Engine, law: ErrorSpec, n_units: int):
     stacked products of its statistic, both of which release the
     interpreter lock, so units overlap with blocks and with each other.
     Every task has ended when this returns, also when one fails.  Returns
-    the units' results in unit order and the blocks' projections Z e1,
-    Z e2, each concatenated in block order."""
+    the units' results in unit order and the blocks' W rows (Z e1, Z e2),
+    concatenated in block order."""
     ex = _pool(max_threads(), os.getpid())
     # unit u at u / n_units and block b at b / _N_BLOCKS, a unit first on a tie
     order = sorted([(u * _N_BLOCKS, _SAMPLE, u) for u in range(n_units)]
@@ -388,7 +388,7 @@ def _pool_round(engine: _Engine, law: ErrorSpec, n_units: int):
         null = [futs[_NULL, b].result() for b in range(_N_BLOCKS)]
     finally:
         wait(futs.values())  # no task of this round outlives it
-    return units, *(np.concatenate(z) for z in zip(*null))
+    return units, np.concatenate(null)
 
 
 def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
@@ -417,9 +417,9 @@ def power_curve(config: SimConfig, lr_oracle_error=None) -> PowerTable:
     engine = _Engine(config)
     law = lr_oracle_error if lr_oracle_error is not None else config.error
     n_units = (config.reps + _UNIT - 1) // _UNIT
-    units, ze1, ze2 = _pool_round(engine, law, n_units)
+    units, w = _pool_round(engine, law, n_units)
     *sample, redraws = zip(*units)
-    lr_crit = _lr_quantiles(engine, config.beta_grid, ze1, ze2)
+    lr_crit = _lr_quantiles(engine, config.beta_grid, w)
     sample = [np.concatenate(p) for p in sample]
     grid = np.array(config.beta_grid)
     step = chunk_rows(_DECISION_ROW_DOUBLES * 8 * config.reps)

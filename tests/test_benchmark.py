@@ -262,18 +262,18 @@ def test_profile_from_sums_matches_numpy_solve(case):
 
 @pytest.mark.parametrize("table", [1, 2, 3, 4])
 def test_engine_quadratics_are_the_kernel_at_unit_weights(table):
-    # the harness's unweighted fast path, one inverse of Z Z' for every
-    # replication, is profile_from_sums at u = 1
+    # the harness's unweighted quadratics, one gram_root of Z Z' for every
+    # replication, are profile_from_sums at u = 1
     cfg = table_config(table, reps=50)
     engine = _Engine(cfg)
     eps = _gen_errors_batch(cfg.error, cfg.n, cfg.reps, RngStream(table, 0).generator())
     y1 = cfg.beta_star * engine.x + eps[:, :, 0]
     y2 = engine.x + eps[:, :, 1]
-    q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+    q = engine.quadratics(np.concatenate([y1 @ engine.z.T, y2 @ engine.z.T], -1))
     *hb, pd = profile_from_sums(profile_features(engine.z, y1, y2).sum(axis=1), cfg.q)
     assert pd.all()
-    for fast, kernel in zip(q, hb):
-        assert np.allclose(fast, kernel, rtol=1e-12, atol=0)
+    for got, kernel in zip(q, hb):
+        assert np.allclose(got, kernel, rtol=1e-12, atol=0)
 
 
 def test_profile_is_invariant_to_instrument_units():

@@ -465,19 +465,19 @@ def test_lr_null_streams_are_its_blocks(monkeypatch, kind):
         eps = harness._gen_errors_batch(cfg.error, cfg.n, harness._NULL_BLOCK,
                                         harness._stream(cfg, harness._NULL, b))
         proj = np.array([engine.z @ e for e in eps])
-        expected.append([proj[:, :, i].tobytes() for i in (0, 1)])
+        expected.append(np.concatenate([proj[:, :, 0], proj[:, :, 1]], -1).tobytes())
     for budget in BUDGETS + (16 * cfg.n * 7,):
         monkeypatch.setattr(basis, "DRAW_BUDGET", budget)
         for b, want in enumerate(expected):
-            assert [z.tobytes() for z in harness._null_block(engine, cfg.error, b)] == want
+            assert harness._null_block(engine, cfg.error, b).tobytes() == want
 
 
 @functools.cache
 def _null_projections(kind, n_blocks=8):
     cfg = _null_config(kind)
     engine = harness._Engine(cfg)
-    blocks = [harness._null_block(engine, cfg.error, b) for b in range(n_blocks)]
-    return engine, *(np.concatenate(z) for z in zip(*blocks))
+    return engine, np.concatenate([harness._null_block(engine, cfg.error, b)
+                                   for b in range(n_blocks)])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -489,7 +489,7 @@ def test_lr_quantiles_match_the_direct_quadratics(kind, v):
     # Z e2 and Z x, not from v Z x + Z e1 and Z x + Z e2: they agree to
     # rounding, relative to the Cauchy-Schwarz bound of each entry, and the
     # critical values to 1e-12 relative (they round differently on purpose)
-    engine, ze1, ze2 = _null_projections(kind)
+    engine, w = _null_projections(kind)
     seen = []
 
     def recording(*args):
@@ -498,14 +498,16 @@ def test_lr_quantiles_match_the_direct_quadratics(kind, v):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "st_quadratics", recording)
-        crit = harness._lr_quantiles(engine, (v,), ze1, ze2)[0]
+        crit = harness._lr_quantiles(engine, (v,), w)[0]
     (q11, q12, q22, _), = seen
     zx = engine.z @ engine.x
+    ze1, ze2 = np.split(w, 2, axis=1)
     y1, y2 = v * zx + ze1, zx + ze2
-    direct = engine.quadratics(y1, y2)
+    direct = engine.quadratics(np.concatenate([y1, y2], -1))
+    gram = engine.z @ engine.z.T
 
     def norm(a):
-        return np.sqrt(np.einsum("...j,jk,...k->...", a, engine.gram_inv, a))
+        return np.sqrt(np.einsum("...j,...j->...", a, np.linalg.solve(gram, a.T).T))
 
     n1 = abs(v) * norm(zx) + norm(ze1)
     n2 = norm(zx) + norm(ze2)
@@ -514,6 +516,40 @@ def test_lr_quantiles_match_the_direct_quadratics(kind, v):
     want = empirical_upper_quantile(
         benchmark.tclr_from(*benchmark.st_quadratics(*direct, v)), engine.config.alpha)
     assert crit == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("table", [1, 2, 3, 4])
+def test_replication_quadratics_do_not_depend_on_their_unit(table):
+    # a replication's quadratics are the same bits alone, as `ivboot test`
+    # takes them, and inside its unit of _UNIT replications (with an
+    # explicit inverse of Z Z', 58 of the 800 replications of tables 1-4
+    # moved in their last bits)
+    cfg = table_config(table, reps=8 * harness._UNIT)
+    engine = harness._Engine(cfg)
+    for unit in range(8):
+        eps = harness._gen_errors_batch(cfg.error, cfg.n, harness._UNIT,
+                                        harness._stream(cfg, harness._SAMPLE, unit))
+        y1 = cfg.beta_star * engine.x + eps[:, :, 0]
+        y2 = engine.x + eps[:, :, 1]
+        w = np.concatenate([y1 @ engine.z.T, y2 @ engine.z.T], -1)
+        together = engine.quadratics(w)
+        for r in range(harness._UNIT):
+            alone = engine.quadratics(w[r:r + 1])
+            assert [a.tobytes() for a in alone] == [t[r:r + 1].tobytes() for t in together]
+
+
+@pytest.mark.parametrize("n", [40, 200, 2000])
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
+def test_quadratics_of_a_row_do_not_depend_on_its_batch(q, n):
+    # W rows (Z y1, Z y2) of 50 replications, in batches of 1, 7 (the last
+    # one short) and 25, give the bits of one call on all of them
+    engine = harness._Engine(small_config(n=n, q=q))
+    y = np.random.default_rng(100 * q + n).standard_normal((50, 2, n))
+    w = (y @ engine.z.T).reshape(50, 2 * q)
+    want = [x.tobytes() for x in engine.quadratics(w)]
+    for size in (1, 7, 25):
+        parts = [engine.quadratics(w[a:a + size]) for a in range(0, len(w), size)]
+        assert [np.concatenate(x).tobytes() for x in zip(*parts)] == want
 
 
 def test_lr_null_at_large_beta0_converges():

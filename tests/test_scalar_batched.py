@@ -54,7 +54,8 @@ def _config(seed, kind, boot_reps=1000):
 def _batch_of_one(cfg, sample):
     engine = _Engine(cfg)
     y1, y2 = sample.y1[None], sample.y2[None]
-    return engine, y1, y2, engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+    w = np.concatenate([y1 @ engine.z.T, y2 @ engine.z.T], -1)
+    return engine, y1, y2, engine.quadratics(w)
 
 
 def _harness_statistic(engine, q):
@@ -291,7 +292,7 @@ def test_blr_redraws_are_counted(n_bad, reps):
     samples = [gen_sample(cfg, rng=cfg.rng(r)) for r in range(reps)]
     y1 = np.stack([s.y1 for s in samples])
     y2 = np.stack([s.y2 for s in samples])
-    q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+    q = engine.quadratics(np.concatenate([y1 @ engine.z.T, y2 @ engine.z.T], -1))
     gen = np.random.default_rng(5)
     block = gen.standard_normal((cfg.boot_reps, 25))
     # with F = QR, the normal draw -2 Q'1 gives the sums of the weights u = -1:
@@ -353,8 +354,8 @@ def _reference_batch_of_one(engine, sample, gen):
     sums = mean + gen.standard_normal((engine.config.boot_reps, len(factor))) @ factor
     hb11, hb12, hb22, pd = reference_profile_from_sums(sums, engine.config.q)
     assert pd.all()
-    _, vx, vy = _top_eigvec_2x2(*engine.quadratics(sample.y1[None] @ engine.z.T,
-                                                   sample.y2[None] @ engine.z.T))
+    _, vx, vy = _top_eigvec_2x2(*engine.quadratics(np.concatenate(
+        [sample.y1[None] @ engine.z.T, sample.y2[None] @ engine.z.T], -1)))
     lmax = np.linalg.eigvalsh(np.stack([np.stack([hb11, hb12], -1),
                                         np.stack([hb12, hb22], -1)], -1))[:, -1]
     gb = vx * vx * hb11 + 2 * vx * vy * hb12 + vy * vy * hb22
@@ -429,7 +430,7 @@ def _harness_sums(n, reps, seed):
     eps = _gen_errors_batch(cfg.error, n, reps, RngStream(seed, 0).generator())
     y1 = cfg.beta_star * engine.x[None, :] + eps[:, :, 0]
     y2 = engine.x[None, :] + eps[:, :, 1]
-    q = engine.quadratics(y1 @ engine.z.T, y2 @ engine.z.T)
+    q = engine.quadratics(np.concatenate([y1 @ engine.z.T, y2 @ engine.z.T], -1))
     return profile_features(engine.z, y1, y2), _harness_statistic(engine, q)
 
 
